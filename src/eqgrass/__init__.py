@@ -25,7 +25,6 @@ from .schubert import (
 from .search import (
     Budget,
     BudgetExceededError,
-    DifferentialPair,
     SolveReport,
     Strategy,
     candidate_outcomes,
@@ -49,7 +48,6 @@ __all__ = [
     "Bidegree",
     "Budget",
     "BudgetExceededError",
-    "DifferentialPair",
     "FreeModule",
     "K11",
     "PageDiagnostics",

@@ -33,7 +33,82 @@ def _graded_lex_key(exps: tuple[int, int]) -> tuple[int, int]:
     return (i + j, i)
 
 
-class BiPoly:
+class _SparsePoly:
+    """Immutable sparse polynomial: a map exponent -> nonzero coefficient.
+
+    Subclasses fix the exponent type.  Their constructors drop zero
+    coefficients, so two equal polynomials always hold identical term
+    maps; they supply ``__init__``, ``__mul__``, the descending term order
+    ``_order_key`` and the monomial text ``_monomial``.
+    """
+
+    __slots__ = ("_terms",)
+
+    _order_key = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self._terms,))
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        terms = dict(self._terms)
+        for e, c in other._terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return type(self)(terms)
+
+    def __neg__(self):
+        return type(self)({e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self) -> Iterator:
+        """Terms in descending order: graded-lex (x before y) for BiPoly,
+        by exponent for UniPoly."""
+        for e in sorted(self._terms, key=self._order_key, reverse=True):
+            yield e, self._terms[e]
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        parts: list[str] = []
+        for e, c in self.terms():
+            mono = self._monomial(e)
+            mag = abs(c)
+            body = (str(mag) if (mag != 1 or not mono) else "") + mono
+            if not parts:
+                parts.append(("-" if c < 0 else "") + body)
+            else:
+                parts.append((" - " if c < 0 else " + ") + body)
+        return "".join(parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self!s})"
+
+
+class BiPoly(_SparsePoly):
     """A sparse polynomial in Z[x,y], kept in canonical form.
 
     Zero coefficients are never stored and exponents are nonnegative, so
@@ -41,7 +116,9 @@ class BiPoly:
     immutable and hashable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _order_key = staticmethod(_graded_lex_key)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
@@ -55,17 +132,7 @@ class BiPoly:
                         del clean[(i, j)]
         object.__setattr__(self, "_terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
-    def __reduce__(self):
-        return (BiPoly, (self._terms,))
-
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "BiPoly":
@@ -77,26 +144,6 @@ class BiPoly:
 
     # -- ring structure ------------------------------------------------
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            new = terms.get(e, 0) + c
-            if new:
-                terms[e] = new
-            elif e in terms:
-                del terms[e]
-        return BiPoly(terms)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -104,31 +151,10 @@ class BiPoly:
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
                 e = (i1 + i2, j1 + j2)
-                new = terms.get(e, 0) + c1 * c2
-                if new:
-                    terms[e] = new
-                elif e in terms:
-                    del terms[e]
+                terms[e] = terms.get(e, 0) + c1 * c2
         return BiPoly(terms)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     # -- inspection ----------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[tuple[int, int], int]]:
-        """Terms in descending graded-lex order (x before y)."""
-        for e in sorted(self._terms, key=_graded_lex_key, reverse=True):
-            yield e, self._terms[e]
 
     def coefficient(self, i: int, j: int) -> int:
         return self._terms.get((i, j), 0)
@@ -154,11 +180,7 @@ class BiPoly:
         """Substitute y = 1 (forget the weight grading)."""
         terms: dict[int, int] = {}
         for (i, _), c in self._terms.items():
-            new = terms.get(i, 0) + c
-            if new:
-                terms[i] = new
-            elif i in terms:
-                del terms[i]
+            terms[i] = terms.get(i, 0) + c
         return UniPoly(terms)
 
     def fixed_points(self) -> "UniPoly":
@@ -166,11 +188,7 @@ class BiPoly:
         terms: dict[int, int] = {}
         for (i, j), c in self._terms.items():
             e = i - j
-            new = terms.get(e, 0) + c
-            if new:
-                terms[e] = new
-            elif e in terms:
-                del terms[e]
+            terms[e] = terms.get(e, 0) + c
         return UniPoly(terms)
 
     # -- division by the fundamental shift ------------------------------
@@ -235,38 +253,25 @@ class BiPoly:
             return None
         return quotient
 
-    # -- text form -------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for (i, j), c in self.terms():
-            mono = ""
-            if i:
-                mono += "x" if i == 1 else f"x^{i}"
-            if j:
-                mono += "y" if j == 1 else f"y^{j}"
-            mag = abs(c)
-            body = (str(mag) if (mag != 1 or not mono) else "") + mono
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self!s})"
+    @staticmethod
+    def _monomial(e: tuple[int, int]) -> str:
+        i, j = e
+        mono = ""
+        if i:
+            mono += "x" if i == 1 else f"x^{i}"
+        if j:
+            mono += "y" if j == 1 else f"y^{j}"
+        return mono
 
 
-class UniPoly:
+class UniPoly(_SparsePoly):
     """A sparse Laurent polynomial in Z[x, 1/x].
 
     Negative exponents occur only as images of the fixed-point
     substitution; ordinary Poincare polynomials stay in Z[x].
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         clean: dict[int, int] = {}
@@ -278,39 +283,9 @@ class UniPoly:
                         del clean[e]
         object.__setattr__(self, "_terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    def __reduce__(self):
-        return (UniPoly, (self._terms,))
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
     @classmethod
     def monomial(cls, e: int, coeff: int = 1) -> "UniPoly":
         return cls({e: coeff})
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            new = terms.get(e, 0) + c
-            if new:
-                terms[e] = new
-            elif e in terms:
-                del terms[e]
-        return UniPoly(terms)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -319,58 +294,22 @@ class UniPoly:
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                new = terms.get(e, 0) + c1 * c2
-                if new:
-                    terms[e] = new
-                elif e in terms:
-                    del terms[e]
+                terms[e] = terms.get(e, 0) + c1 * c2
         return UniPoly(terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def coefficient(self, e: int) -> int:
         return self._terms.get(e, 0)
-
-    def terms(self) -> Iterator[tuple[int, int]]:
-        for e in sorted(self._terms, reverse=True):
-            yield e, self._terms[e]
 
     def evaluate(self, x0: int) -> int:
         if any(e < 0 for e in self._terms):
             raise ValueError("cannot integer-evaluate a Laurent polynomial")
         return sum(c * x0**e for e, c in self._terms.items())
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for e, c in self.terms():
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = "x"
-            else:
-                mono = f"x^{e}"
-            mag = abs(c)
-            body = (str(mag) if (mag != 1 or not mono) else "") + mono
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self!s})"
+    @staticmethod
+    def _monomial(e: int) -> str:
+        if e == 0:
+            return ""
+        return "x" if e == 1 else f"x^{e}"
 
 
 class PointCone:
@@ -458,10 +397,5 @@ def parse_bipoly(text: str) -> BiPoly:
         ye = m.group("ye")
         i = int(xe) if xe is not None else (1 if "x" in body else 0)
         j = int(ye) if ye is not None else (1 if "y" in body else 0)
-        e = (i, j)
-        new = terms.get(e, 0) + coef
-        if new:
-            terms[e] = new
-        elif e in terms:
-            del terms[e]
+        terms[(i, j)] = terms.get((i, j), 0) + coef
     return BiPoly(terms)

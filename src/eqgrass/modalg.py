@@ -43,6 +43,15 @@ class ShiftMove(NamedTuple):
         return self.n >= 1 and self.s >= 1
 
 
+def shift_result(src: tuple[int, int], tgt: tuple[int, int]) -> tuple[tuple, tuple]:
+    """The two bidegrees a legal shift leaves behind: src = (a, b) rises
+    to (a, b + s) and tgt = (c, d) falls to (c, b + n), where n = c - a
+    and s = (d - b) - n."""
+    a, b = src
+    c, d = tgt
+    return (a, d - c + a), (c, b + c - a)
+
+
 class FreeModule:
     """An immutable multiset of bidegrees in canonical sorted order.
 
@@ -51,7 +60,7 @@ class FreeModule:
     hand-entered modules stay representable.
     """
 
-    __slots__ = ("_gens", "_poly")
+    __slots__ = ("_gens", "_poly", "_tension")
 
     def __init__(self, gens: Iterable[tuple[int, int]] = ()):
         cleaned = []
@@ -61,6 +70,7 @@ class FreeModule:
             cleaned.append(Bidegree(a, b))
         object.__setattr__(self, "_gens", tuple(sorted(cleaned)))
         object.__setattr__(self, "_poly", None)
+        object.__setattr__(self, "_tension", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeModule is immutable")
@@ -124,7 +134,9 @@ class FreeModule:
 
     def tension(self) -> int:
         """poincare evaluated at (1, 2); strictly drops under every shift."""
-        return sum(2**b for _, b in self._gens)
+        if self._tension is None:
+            object.__setattr__(self, "_tension", sum(2**b for _, b in self._gens))
+        return self._tension
 
     def total_weight(self) -> int:
         return sum(b for _, b in self._gens)
@@ -148,8 +160,7 @@ class FreeModule:
         gens = list(self._gens)
         gens.remove(src)
         gens.remove(tgt)
-        gens.append(Bidegree(src.a, src.b + move.s))
-        gens.append(Bidegree(tgt.a, src.b + move.n))
+        gens.extend(shift_result(src, tgt))
         return FreeModule(gens)
 
     def shift_story(self, other: "FreeModule") -> BiPoly | None:

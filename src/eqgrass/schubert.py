@@ -131,14 +131,15 @@ def unique_e1_pages(
     """
     from .search import BudgetExceededError  # cycle-free at call time
 
-    words = sign_words(p, q)
-    if max_words is not None and len(words) > max_words:
+    # Counted before any word is built; sign_words rejects a bad q.
+    n_words = math.comb(p, q) if 0 <= q <= p else 0
+    if max_words is not None and n_words > max_words:
         raise BudgetExceededError(
-            f"(k={k}, p={p}, q={q}) needs {len(words)} sign words, over the "
+            f"(k={k}, p={p}, q={q}) needs {n_words} sign words, over the "
             f"budget of {max_words}; raise the word budget to continue"
         )
     seen: set[FreeModule] = set()
-    for word in words:
+    for word in sign_words(p, q):
         seen.add(e1_page(k, word))
     return sorted(seen, key=lambda m: (m.tension(), m.gens))
 

@@ -10,6 +10,12 @@ of the same space must reach the true answer as well.  The solver:
      implied), and
   d. strikes every candidate some remaining page cannot relax to.
 
+Each rule is written once.  ``_legal_moves`` is the move rule, which
+``possible_differentials`` and both enumerations list moves with, and
+``modalg.shift_result`` is the result of a move.  ``reduce_pages`` is the
+page reduction of step c, and ``FreeModule.can_relax_to`` is the one
+relaxation check behind steps c and d.
+
 Two candidate-generation semantics ship.  ``closure`` replays single
 shifts breadth-first, recomputing the possible differentials at every
 intermediate module, so a summand shifted down by one move may support
@@ -27,14 +33,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from .modalg import FreeModule, ShiftMove
+from .modalg import Bidegree, FreeModule, ShiftMove, shift_result
 from .schubert import unique_e1_pages
-
-# A possible differential is exactly a legal shift move: src = (a, b),
-# tgt = (c, d) with c - a >= 1 and (d - b) - (c - a) >= 1.  Equivalently
-# the supporting element of the target summand in the bidegree just above
-# src lies in the negative cone of the point cohomology.
-DifferentialPair = ShiftMove
 
 DEFAULT_MAX_MODULES = 1_000_000
 DEFAULT_MAX_WORDS = 2_000
@@ -85,22 +85,32 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def possible_differentials(module: FreeModule) -> list[DifferentialPair]:
+def _legal_moves(pairs: Iterable[tuple[int, int]]) -> list[tuple]:
+    """The move rule: every (src, tgt) among the distinct bidegrees with
+    src = (a, b), tgt = (c, d), c - a >= 1 and (d - b) - (c - a) >= 1.
+    Equivalently the supporting element of the target summand in the
+    bidegree just above src lies in the negative cone of the point
+    cohomology.  Sorted by src, then tgt."""
+    distinct = sorted(set(pairs))
+    moves = []
+    for a, b in distinct:
+        for c, d in distinct:
+            n = c - a
+            if n >= 1 and (d - b) - n >= 1:
+                moves.append(((a, b), (c, d)))
+    return moves
+
+
+def possible_differentials(module: FreeModule) -> list[ShiftMove]:
     """All bidegree-level differentials the module could support.
 
     Pairs are collapsed to distinct bidegrees; multiplicities are read
     off the module itself.
     """
-    distinct = sorted(set(module.gens))
-    out = []
-    for src in distinct:
-        for tgt in distinct:
-            n = tgt.a - src.a
-            if n < 1:
-                continue
-            if (tgt.b - src.b) - n >= 1:
-                out.append(DifferentialPair(src, tgt))
-    return out
+    return [
+        ShiftMove(Bidegree(*src), Bidegree(*tgt))
+        for src, tgt in _legal_moves(module.gens)
+    ]
 
 
 # -- closure enumeration ----------------------------------------------------
@@ -122,30 +132,6 @@ def _decode(state: bytes) -> list[tuple[int, int]]:
     return [(state[i], state[i + 1]) for i in range(0, len(state), 2)]
 
 
-def _legal_moves(pairs: Sequence[tuple[int, int]]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    distinct = sorted(set(pairs))
-    moves = []
-    for a, b in distinct:
-        for c, d in distinct:
-            n = c - a
-            if n >= 1 and (d - b) - n >= 1:
-                moves.append(((a, b), (c, d)))
-    return moves
-
-
-def _apply_raw(pairs: list[tuple[int, int]], src, tgt) -> bytes:
-    a, b = src
-    c, d = tgt
-    n = c - a
-    s = (d - b) - n
-    child = list(pairs)
-    child.remove(src)
-    child.remove(tgt)
-    child.append((a, b + s))
-    child.append((c, b + n))
-    return _encode(child)
-
-
 def _closure_states(module: FreeModule, depth: int | None, budget: Budget) -> set[bytes]:
     start = _encode((g.a, g.b) for g in module.gens)
     seen = {start}
@@ -164,7 +150,13 @@ def _closure_states(module: FreeModule, depth: int | None, budget: Budget) -> se
             continue
         pairs = _decode(state)
         for src, tgt in _legal_moves(pairs):
-            child = _apply_raw(pairs, src, tgt)
+            src_after, tgt_after = shift_result(src, tgt)
+            after = list(pairs)
+            after.remove(src)
+            after.remove(tgt)
+            after.append(src_after)
+            after.append(tgt_after)
+            child = _encode(after)
             if child in seen:
                 continue
             seen.add(child)
@@ -178,33 +170,29 @@ def _closure_states(module: FreeModule, depth: int | None, budget: Budget) -> se
 
 def _matchings_outcomes(module: FreeModule, budget: Budget) -> set[bytes]:
     gens = [(g.a, g.b) for g in module.gens]
-    n_gens = len(gens)
-    pairs = []
-    for i in range(n_gens):
-        a, b = gens[i]
-        for j in range(n_gens):
-            if i == j:
-                continue
-            c, d = gens[j]
-            n = c - a
-            if n >= 1 and (d - b) - n >= 1:
-                pairs.append((i, j))
+    positions: dict[tuple[int, int], list[int]] = {}
+    for i, g in enumerate(gens):
+        positions.setdefault(g, []).append(i)
+    # One entry (i, j, new gens[i], new gens[j]) per legal move between
+    # two generator positions.
+    pairs = [
+        (i, j, *shift_result(src, tgt))
+        for src, tgt in _legal_moves(gens)
+        for i in positions[src]
+        for j in positions[tgt]
+    ]
     outcomes: set[bytes] = set()
     max_modules = budget.max_modules
     explored = 0
 
-    def emit(chosen: list[tuple[int, int]]):
+    def emit(chosen: list[tuple]):
         out = list(gens)
-        for i, j in chosen:
-            a, b = gens[i]
-            c, d = gens[j]
-            n = c - a
-            s = (d - b) - n
-            out[i] = (a, b + s)
-            out[j] = (c, b + n)
+        for i, j, src_after, tgt_after in chosen:
+            out[i] = src_after
+            out[j] = tgt_after
         outcomes.add(_encode(out))
 
-    def walk(start: int, used: set[int], chosen: list[tuple[int, int]]):
+    def walk(start: int, used: set[int], chosen: list[tuple]):
         nonlocal explored
         emit(chosen)
         explored += 1
@@ -213,12 +201,12 @@ def _matchings_outcomes(module: FreeModule, budget: Budget) -> set[bytes]:
                 f"matching enumeration exceeded {max_modules} combinations"
             )
         for idx in range(start, len(pairs)):
-            i, j = pairs[idx]
+            i, j, _, _ = pairs[idx]
             if i in used or j in used:
                 continue
             used.add(i)
             used.add(j)
-            chosen.append((i, j))
+            chosen.append(pairs[idx])
             walk(idx + 1, used, chosen)
             chosen.pop()
             used.discard(i)
@@ -242,27 +230,20 @@ def candidate_outcomes(
     return sorted(FreeModule(_decode(s)) for s in states)
 
 
-def _relaxes_to(src: FreeModule, tgt: FreeModule) -> bool:
-    """Nonzero nonnegative story from src to tgt.  Such a story strictly
-    lowers tension, so callers may prune on tension first."""
-    story = src.shift_story(tgt)
-    return story is not None and bool(story) and story.is_nonnegative()
-
-
 def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
     """Drop every page that can shift to another page in the list; the
-    target's outcomes are a subset, so the dropped page adds nothing."""
-    tensions = [m.tension() for m in pages]
-    kept = []
-    for i, page in enumerate(pages):
-        redundant = any(
-            tensions[j] < tensions[i] and _relaxes_to(page, other)
-            for j, other in enumerate(pages)
-            if j != i
-        )
-        if not redundant:
-            kept.append(page)
-    return kept
+    target's outcomes are a subset, so the dropped page adds nothing.
+
+    ``pages`` must be distinct and sorted by tension ascending, as
+    ``unique_e1_pages`` returns them.  Relaxing strictly lowers tension,
+    so only earlier pages can be targets, and the first page is always
+    kept.
+    """
+    return [
+        page
+        for i, page in enumerate(pages)
+        if not any(page.can_relax_to(pages[j]) for j in range(i))
+    ]
 
 
 def subspace_filter(
@@ -394,20 +375,10 @@ def solve(
     # Pages that can shift to any other page are redundant: the target
     # page filters at least as hard.  The chosen page filters nothing
     # (every candidate is reachable from it) so it is never used.
-    # Relaxing strictly lowers tension, and pages are tension-sorted, so
-    # only earlier pages can be targets.
-    tensions = report.tensions
-    filter_indices = []
-    for i in range(1, len(pages)):
-        redundant = any(
-            tensions[j] < tensions[i] and _relaxes_to(pages[i], pages[j])
-            for j in range(i)
-        )
-        if not redundant:
-            filter_indices.append(i)
     # Filters run from the highest-tension page down; the order changes
     # only how removals split across the log, never the survivor set.
-    filter_indices.reverse()
+    position = {page: i for i, page in enumerate(pages)}
+    filter_indices = [position[page] for page in reduce_pages(pages)[:0:-1]]
     report.filter_page_indices = filter_indices
 
     pool = None

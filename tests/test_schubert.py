@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +104,18 @@ def test_unique_pages_word_budget():
     with pytest.raises(BudgetExceededError):
         unique_e1_pages(3, 6, 3, max_words=19)
     assert len(unique_e1_pages(3, 6, 3, max_words=20)) == 6
+
+
+def test_word_budget_fires_before_allocation():
+    # C(18, 9) = 48620 words would take about 12 MiB to build.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="needs 48620 sign words"):
+            unique_e1_pages(2, 18, 9, max_words=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_quotient_page_cell_count():

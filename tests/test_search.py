@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,6 @@ from eqgrass.schubert import SignWord, e1_page, sign_words, unique_e1_pages
 from eqgrass.search import (
     Budget,
     BudgetExceededError,
-    DifferentialPair,
     SolveReport,
     Strategy,
     candidate_outcomes,
@@ -139,6 +139,33 @@ def test_reduce_pages_singleton():
 def test_reduce_pages_published_count():
     pages = unique_e1_pages(3, 6, 3)
     assert len(reduce_pages(pages[1:])) == 2
+
+
+@pytest.mark.parametrize("space", [(1, 3, 1), (3, 6, 3), (2, 8, 4), (2, 9, 4)])
+def test_reduce_pages_matches_solve_filter_pages(space):
+    pages = unique_e1_pages(*space)
+    kept = reduce_pages(pages)
+    report = solve(*space)
+    assert kept[0] == pages[0]
+    assert kept[:0:-1] == [pages[i] for i in report.filter_page_indices]
+
+
+# sha256 of solve(k, p, q).to_json_bytes().  The cache keys on these bytes,
+# so a change that alters them must bump CACHE_VERSION and re-record here.
+SOLVE_GOLDEN_SHA256 = {
+    (1, 3, 1): "5182824d00e3785d5b298994979c9415fb7cb170a55e34333e42f38ce6fe29ec",
+    (2, 6, 3): "c453358aaeebec2f8da000b0cb46d53f112c6c21deaf4c3bc1c3cb3e4ffeef6d",
+    (3, 6, 3): "72f57baf27d21cd1790be0bd08f4e3b72805ae0a8813f40f9de3f7e53025c5dd",
+    (2, 8, 4): "d2de14f2b807b5e9f395619db41116cffe782f60528a023b3542587ceefbeba8",
+    (3, 7, 2): "97aca8c54b11bef7dec09dd2cfb2d31ceaa749dcc403b345beadc04b0968d8bc",
+    (2, 9, 4): "e783af22eb599ae238f7e94129a58f30b301f08d8b511fa69a7c8cbd31692ec0",
+}
+
+
+@pytest.mark.parametrize("space", sorted(SOLVE_GOLDEN_SHA256))
+def test_solve_report_bytes_golden(space):
+    digest = hashlib.sha256(solve(*space).to_json_bytes()).hexdigest()
+    assert digest == SOLVE_GOLDEN_SHA256[space]
 
 
 def test_solve_rp2():
