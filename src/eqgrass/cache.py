@@ -1,9 +1,9 @@
 """Content-addressed on-disk cache for solver reports.
 
 Reports are stored as byte-stable JSON in files named by a hash of the
-parameters, the strategy, and a format version, so stale entries from
-older releases simply miss.  Writes go through a temp file and rename,
-and corrupt entries are treated as misses.
+parameters and a format version, so stale entries from older releases
+simply miss.  Writes go through a temp file and rename, and corrupt
+entries are treated as misses.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .search import SolveReport, Strategy
+from .search import SolveReport
 
 CACHE_ENV_VAR = "EQGRASS_CACHE_DIR"
 CACHE_VERSION = 1
@@ -28,14 +28,16 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "eqgrass"
 
 
-def cache_key(k: int, p: int, q: int, strategy: Strategy, version: int = CACHE_VERSION) -> str:
+def cache_key(k: int, p: int, q: int, version: int = CACHE_VERSION) -> str:
+    # The strategy fields keep the keys of entries written while the
+    # strategy was selectable.
     payload = json.dumps(
         {
             "k": k,
             "p": p,
             "q": q,
-            "strategy": strategy.kind,
-            "depth": strategy.depth,
+            "strategy": "closure",
+            "depth": None,
             "version": version,
         },
         sort_keys=True,
@@ -50,7 +52,7 @@ def _entry_path(cache_dir: Path, key: str) -> Path:
 
 def store(cache_dir: Path, report: SolveReport, version: int = CACHE_VERSION) -> Path:
     cache_dir.mkdir(parents=True, exist_ok=True)
-    key = cache_key(report.k, report.p, report.q, report.strategy, version)
+    key = cache_key(report.k, report.p, report.q, version)
     path = _entry_path(cache_dir, key)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
@@ -69,10 +71,9 @@ def load(
     k: int,
     p: int,
     q: int,
-    strategy: Strategy,
     version: int = CACHE_VERSION,
 ) -> SolveReport | None:
-    path = _entry_path(cache_dir, cache_key(k, p, q, strategy, version))
+    path = _entry_path(cache_dir, cache_key(k, p, q, version))
     if not path.exists():
         return None
     try:

@@ -30,7 +30,6 @@ from .search import (
     BudgetExceededError,
     DEFAULT_MAX_MODULES,
     DEFAULT_MAX_WORDS,
-    Strategy,
     candidate_outcomes,
     solve,
 )
@@ -111,21 +110,6 @@ def _add_budget(parser):
     )
 
 
-def _add_strategy(parser):
-    parser.add_argument(
-        "--strategy",
-        choices=["closure", "matchings"],
-        default="closure",
-        help="candidate generation semantics (default %(default)s)",
-    )
-    parser.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        help="optional depth bound for the closure strategy",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqgrass",
@@ -147,16 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
         "candidates", help="possible limits of the lowest-tension first page"
     )
     _add_kpq(p_cand)
-    _add_strategy(p_cand)
     _add_budget(p_cand)
     _add_format(p_cand, default="poly")
 
     p_solve = sub.add_parser("solve", help="run the full pruned search")
     _add_kpq(p_solve)
-    _add_strategy(p_solve)
     _add_budget(p_solve)
     _add_format(p_solve)
-    p_solve.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_solve.add_argument("--no-cache", action="store_true", help="skip the result cache")
     p_solve.add_argument(
         "--cache-dir",
@@ -206,10 +187,6 @@ def _budget_from(args) -> Budget:
     )
 
 
-def _strategy_from(args) -> Strategy:
-    return Strategy(args.strategy, args.depth)
-
-
 def _cmd_e1(args, out) -> int:
     word = _parse_word(args.word)
     if args.k < 0 or args.k > word.p:
@@ -239,7 +216,7 @@ def _cmd_candidates(args, out) -> int:
     _check_kpq(args.k, args.p, args.q)
     budget = _budget_from(args)
     pages = unique_e1_pages(args.k, args.p, args.q, max_words=budget.max_words)
-    cands = candidate_outcomes(pages[0], _strategy_from(args), budget)
+    cands = candidate_outcomes(pages[0], budget=budget)
     if args.format == "json":
         payload = {"count": len(cands), "candidates": [m.to_json() for m in cands]}
         out.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -259,14 +236,13 @@ def _cmd_solve(args, out) -> int:
             print(f"normalized (k={k}, p={p}, q={q}) to (k={nk}, p={np_}, q={nq})",
                   file=sys.stderr)
         k, p, q = nk, np_, nq
-    strategy = _strategy_from(args)
     budget = _budget_from(args)
     cache_dir = args.cache_dir or result_cache.default_cache_dir()
     report = None
     if not args.no_cache:
-        report = result_cache.load(cache_dir, k, p, q, strategy)
+        report = result_cache.load(cache_dir, k, p, q)
     if report is None:
-        report = solve(k, p, q, strategy=strategy, budget=budget, jobs=args.jobs)
+        report = solve(k, p, q, budget=budget)
         if not args.no_cache and not report.incomplete:
             result_cache.store(cache_dir, report)
     if report.incomplete:

@@ -21,7 +21,7 @@ from .schubert import (
     total_weight_formula,
     unique_e1_pages,
 )
-from .search import Budget, DEFAULT_BUDGET, DEFAULT_STRATEGY, Strategy, candidate_outcomes
+from .search import Budget, DEFAULT_BUDGET, candidate_outcomes
 
 
 def gaussian_binomial(p: int, k: int) -> UniPoly:
@@ -59,7 +59,6 @@ def naive_solve(
     k: int,
     p: int,
     q: int,
-    strategy: Strategy = DEFAULT_STRATEGY,
     budget: Budget = DEFAULT_BUDGET,
 ) -> list[FreeModule]:
     """Exhaustive search: intersect the candidate outcomes of every
@@ -68,7 +67,7 @@ def naive_solve(
     pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
     common: set[FreeModule] | None = None
     for page in pages:
-        outcomes = set(candidate_outcomes(page, strategy, budget))
+        outcomes = set(candidate_outcomes(page, budget=budget))
         common = outcomes if common is None else (common & outcomes)
         if not common:
             break

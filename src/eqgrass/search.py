@@ -11,26 +11,25 @@ of the same space must reach the true answer as well.  The solver:
   d. strikes every candidate some remaining page cannot relax to.
 
 Each rule is written once.  ``_legal_moves`` is the move rule, which
-``possible_differentials`` and both enumerations list moves with, and
-``modalg.shift_result`` is the result of a move.  ``reduce_pages`` is the
-page reduction of step c, and ``FreeModule.can_relax_to`` is the one
+``possible_differentials`` and the candidate enumeration list moves with,
+and ``modalg.shift_result`` is the result of a move.  ``reduce_pages`` is
+the page reduction of step c, and ``FreeModule.can_relax_to`` is the one
 relaxation check behind steps c and d.
 
-Two candidate-generation semantics ship.  ``closure`` replays single
-shifts breadth-first, recomputing the possible differentials at every
-intermediate module, so a summand shifted down by one move may support
-the next; this models re-running the sequence after each cell attachment
-and is the default.  ``matchings`` applies disjoint sets of differentials
-simultaneously to the starting page and reaches strictly fewer outcomes.
-Every move strictly decreases tension, so both enumerations terminate.
+Step b is the closure: it replays single shifts breadth-first,
+recomputing the possible differentials at every intermediate module, so
+a summand shifted down by one move may support the next.  This models
+re-running the sequence after each cell attachment.  Every move strictly
+decreases tension, so the closure is finite and always runs to the end.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Literal, Sequence
 
 from .modalg import Bidegree, FreeModule, ShiftMove, shift_result
@@ -46,24 +45,24 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Strategy:
-    """Candidate-generation semantics, plus an optional closure depth cap."""
+    """The candidate-generation semantics: the full closure, the only one.
 
-    kind: Literal["closure", "matchings"] = "closure"
-    depth: int | None = None
+    Reports record it as ``{"kind": "closure", "depth": null}`` and cache
+    keys hash the same two fields.  Any other kind and any depth bound
+    raise ``ValueError``.
+    """
+
+    kind: Literal["closure"] = "closure"
+    depth: None = None
 
     def __post_init__(self):
-        if self.kind not in ("closure", "matchings"):
+        if self.kind != "closure":
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.depth is not None and self.depth < 0:
-            raise ValueError("depth bound must be nonnegative")
-
-    def describe(self) -> str:
-        if self.depth is None:
-            return self.kind
-        return f"{self.kind}(depth={self.depth})"
+        if self.depth is not None:
+            raise ValueError("the closure takes no depth bound")
 
 
-DEFAULT_STRATEGY = Strategy("closure")
+DEFAULT_STRATEGY = Strategy()
 
 
 @dataclass(frozen=True)
@@ -113,29 +112,34 @@ def possible_differentials(module: FreeModule) -> list[ShiftMove]:
     ]
 
 
-# -- closure enumeration ----------------------------------------------------
-#
-# States are byte strings: the sorted (a, b) pairs flattened two bytes per
-# generator.  Desk-scale degrees stay below 256.  The byte form keeps the
-# visited set small and hashing cheap.
+def candidate_outcomes(
+    module: FreeModule,
+    strategy: Strategy = DEFAULT_STRATEGY,
+    budget: Budget = DEFAULT_BUDGET,
+) -> list[FreeModule]:
+    """Every module the starting page could converge to, the page itself
+    included.  Deduplicated and canonically sorted.
 
+    ``strategy`` can only be the closure; it is accepted so that callers
+    may name it.
+    """
+    # A state is the weights of the sorted generators, two bytes each,
+    # which keeps the visited set small and hashing cheap.  A shift keeps
+    # every topological degree, so the start's sorted degrees pair up
+    # with any state's weights in order.  The two weights a shift leaves
+    # lie strictly between the two it replaces, so every state fits in
+    # two bytes when the start's weights are below 65536.
+    degrees = [g.a for g in module.gens]
 
-def _encode(pairs: Iterable[tuple[int, int]]) -> bytes:
-    flat = []
-    for a, b in sorted(pairs):
-        flat.append(a)
-        flat.append(b)
-    return bytes(flat)
+    def encode(pairs: Iterable[tuple[int, int]]) -> bytes:
+        return array("H", [b for _, b in sorted(pairs)]).tobytes()
 
+    def decode(state: bytes) -> list[tuple[int, int]]:
+        return list(zip(degrees, array("H", state)))
 
-def _decode(state: bytes) -> list[tuple[int, int]]:
-    return [(state[i], state[i + 1]) for i in range(0, len(state), 2)]
-
-
-def _closure_states(module: FreeModule, depth: int | None, budget: Budget) -> set[bytes]:
-    start = _encode((g.a, g.b) for g in module.gens)
+    start = encode(module.gens)
     seen = {start}
-    frontier: deque[tuple[bytes, int]] = deque([(start, 0)])
+    frontier = deque([start])
     max_modules = budget.max_modules
     deadline = None
     if budget.max_seconds is not None:
@@ -145,10 +149,7 @@ def _closure_states(module: FreeModule, depth: int | None, budget: Budget) -> se
             raise BudgetExceededError(
                 f"candidate enumeration exceeded {budget.max_seconds} seconds"
             )
-        state, level = frontier.popleft()
-        if depth is not None and level >= depth:
-            continue
-        pairs = _decode(state)
+        pairs = decode(frontier.popleft())
         for src, tgt in _legal_moves(pairs):
             src_after, tgt_after = shift_result(src, tgt)
             after = list(pairs)
@@ -156,7 +157,7 @@ def _closure_states(module: FreeModule, depth: int | None, budget: Budget) -> se
             after.remove(tgt)
             after.append(src_after)
             after.append(tgt_after)
-            child = _encode(after)
+            child = encode(after)
             if child in seen:
                 continue
             seen.add(child)
@@ -164,70 +165,8 @@ def _closure_states(module: FreeModule, depth: int | None, budget: Budget) -> se
                 raise BudgetExceededError(
                     f"candidate enumeration exceeded {max_modules} modules"
                 )
-            frontier.append((child, level + 1))
-    return seen
-
-
-def _matchings_outcomes(module: FreeModule, budget: Budget) -> set[bytes]:
-    gens = [(g.a, g.b) for g in module.gens]
-    positions: dict[tuple[int, int], list[int]] = {}
-    for i, g in enumerate(gens):
-        positions.setdefault(g, []).append(i)
-    # One entry (i, j, new gens[i], new gens[j]) per legal move between
-    # two generator positions.
-    pairs = [
-        (i, j, *shift_result(src, tgt))
-        for src, tgt in _legal_moves(gens)
-        for i in positions[src]
-        for j in positions[tgt]
-    ]
-    outcomes: set[bytes] = set()
-    max_modules = budget.max_modules
-    explored = 0
-
-    def emit(chosen: list[tuple]):
-        out = list(gens)
-        for i, j, src_after, tgt_after in chosen:
-            out[i] = src_after
-            out[j] = tgt_after
-        outcomes.add(_encode(out))
-
-    def walk(start: int, used: set[int], chosen: list[tuple]):
-        nonlocal explored
-        emit(chosen)
-        explored += 1
-        if max_modules is not None and explored > max_modules:
-            raise BudgetExceededError(
-                f"matching enumeration exceeded {max_modules} combinations"
-            )
-        for idx in range(start, len(pairs)):
-            i, j, _, _ = pairs[idx]
-            if i in used or j in used:
-                continue
-            used.add(i)
-            used.add(j)
-            chosen.append(pairs[idx])
-            walk(idx + 1, used, chosen)
-            chosen.pop()
-            used.discard(i)
-            used.discard(j)
-
-    walk(0, set(), [])
-    return outcomes
-
-
-def candidate_outcomes(
-    module: FreeModule,
-    strategy: Strategy = DEFAULT_STRATEGY,
-    budget: Budget = DEFAULT_BUDGET,
-) -> list[FreeModule]:
-    """Every module the starting page could converge to, the page itself
-    included.  Deduplicated and canonically sorted."""
-    if strategy.kind == "closure":
-        states = _closure_states(module, strategy.depth, budget)
-    else:
-        states = _matchings_outcomes(module, budget)
-    return sorted(FreeModule(_decode(s)) for s in states)
+            frontier.append(child)
+    return sorted(FreeModule(decode(s)) for s in seen)
 
 
 def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
@@ -264,7 +203,6 @@ class SolveReport:
     k: int
     p: int
     q: int
-    strategy: Strategy
     pages: list[FreeModule] = field(default_factory=list)
     tensions: list[int] = field(default_factory=list)
     chosen: int = 0
@@ -290,7 +228,7 @@ class SolveReport:
     def to_json(self) -> dict:
         return {
             "parameters": {"k": self.k, "p": self.p, "q": self.q},
-            "strategy": {"kind": self.strategy.kind, "depth": self.strategy.depth},
+            "strategy": asdict(DEFAULT_STRATEGY),
             "pages": [m.to_json() for m in self.pages],
             "tensions": list(self.tensions),
             "chosen": self.chosen,
@@ -308,11 +246,11 @@ class SolveReport:
     @classmethod
     def from_json(cls, data: dict) -> "SolveReport":
         params = data["parameters"]
+        Strategy(**data["strategy"])  # raises unless the report is a closure's
         return cls(
             k=params["k"],
             p=params["p"],
             q=params["q"],
-            strategy=Strategy(data["strategy"]["kind"], data["strategy"]["depth"]),
             pages=[FreeModule.from_json(m) for m in data["pages"]],
             tensions=list(data["tensions"]),
             chosen=data["chosen"],
@@ -331,30 +269,26 @@ class SolveReport:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
-def _filter_chunk(args) -> list[bool]:
-    page, chunk = args
-    return [page.can_relax_to(c) for c in chunk]
-
-
 def solve(
     k: int,
     p: int,
     q: int,
-    strategy: Strategy = DEFAULT_STRATEGY,
     budget: Budget = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> SolveReport:
     """Run the pruned intersection search for Gr_k(R^{p,q}).
 
-    Deterministic for fixed arguments; worker count affects scheduling
-    only.  Budget exhaustion produces a partial report with
-    ``incomplete`` set instead of an exception.
+    Deterministic for fixed arguments.  The search runs in this process,
+    and ``jobs`` may only be 1.  Budget exhaustion produces a partial
+    report with ``incomplete`` set instead of an exception.
     """
     if not (1 <= k <= p - 1):
         raise ValueError(f"need 1 <= k <= p-1, got k={k}, p={p}")
     if not (0 <= q <= p):
         raise ValueError(f"need 0 <= q <= p, got q={q}, p={p}")
-    report = SolveReport(k=k, p=p, q=q, strategy=strategy)
+    if jobs != 1:
+        raise ValueError(f"solve runs in one process, got jobs={jobs}")
+    report = SolveReport(k=k, p=p, q=q)
     try:
         pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
     except BudgetExceededError as exc:
@@ -365,7 +299,7 @@ def solve(
     report.tensions = [m.tension() for m in pages]
     report.chosen = 0
     try:
-        candidates = candidate_outcomes(pages[0], strategy, budget)
+        candidates = candidate_outcomes(pages[0], budget=budget)
     except BudgetExceededError as exc:
         report.incomplete = True
         report.failure = str(exc)
@@ -381,33 +315,13 @@ def solve(
     filter_indices = [position[page] for page in reduce_pages(pages)[:0:-1]]
     report.filter_page_indices = filter_indices
 
-    pool = None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        alive = list(range(len(candidates)))
-        for page_idx in filter_indices:
-            page = pages[page_idx]
-            flags = _relaxation_flags(page, [candidates[i] for i in alive], jobs, pool)
-            removed = [i for i, ok in zip(alive, flags) if not ok]
-            if removed:
-                report.filter_log.append((page_idx, removed))
-                alive = [i for i, ok in zip(alive, flags) if ok]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    alive = list(range(len(candidates)))
+    for page_idx in filter_indices:
+        page = pages[page_idx]
+        flags = [page.can_relax_to(candidates[i]) for i in alive]
+        removed = [i for i, ok in zip(alive, flags) if not ok]
+        if removed:
+            report.filter_log.append((page_idx, removed))
+            alive = [i for i, ok in zip(alive, flags) if ok]
     report.survivor_indices = alive
     return report
-
-
-def _relaxation_flags(page, cands, jobs, pool) -> list[bool]:
-    if pool is None or len(cands) < 64:
-        return [page.can_relax_to(c) for c in cands]
-    chunk = (len(cands) + jobs - 1) // jobs
-    batches = [(page, cands[i : i + chunk]) for i in range(0, len(cands), chunk)]
-    flags: list[bool] = []
-    for part in pool.map(_filter_chunk, batches):
-        flags.extend(part)
-    return flags

@@ -6,7 +6,7 @@ import pytest
 
 from eqgrass import cache as result_cache
 from eqgrass.cli import EXIT_AMBIGUOUS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, run
-from eqgrass.search import SolveReport, Strategy, solve
+from eqgrass.search import SolveReport, solve
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,6 +69,23 @@ def test_unknown_subcommand_exit_2(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--strategy", "matchings"],
+        ["solve", "--depth", "2"],
+        ["solve", "--jobs", "2"],
+        ["candidates", "--strategy", "matchings"],
+        ["candidates", "--depth", "2"],
+    ],
+    ids=" ".join,
+)
+def test_unknown_option_exit_2(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv(result_cache.CACHE_ENV_VAR, str(tmp_path))
+    code, _ = invoke([*argv, "--k", "1", "--p", "3", "--q", "1"])
+    assert code == EXIT_USAGE
+
+
 def test_pages_poly_format():
     code, text = invoke(["pages", "--k", "1", "--p", "3", "--q", "1", "--format", "poly"])
     assert code == EXIT_OK
@@ -86,6 +103,14 @@ def test_candidates_count_line():
     )
     assert code == EXIT_OK
     assert json.loads(text)["count"] == 24
+
+
+def test_candidates_past_degree_255():
+    code, text = invoke(
+        ["candidates", "--k", "1", "--p", "300", "--q", "1", "--format", "json"]
+    )
+    assert code == EXIT_OK
+    assert json.loads(text)["count"] == 1
 
 
 def test_quotient_cell_count():
@@ -175,7 +200,7 @@ def test_solve_normalize_flag(tmp_path, capsys):
 def test_cache_roundtrip(tmp_path):
     report = solve(3, 6, 3)
     result_cache.store(tmp_path, report)
-    loaded = result_cache.load(tmp_path, 3, 6, 3, Strategy("closure"))
+    loaded = result_cache.load(tmp_path, 3, 6, 3)
     assert loaded is not None
     assert loaded.to_json_bytes() == report.to_json_bytes()
     assert loaded.survivors == report.survivors
@@ -184,25 +209,26 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_version_bump_misses(tmp_path):
     report = solve(1, 3, 1)
     result_cache.store(tmp_path, report, version=1)
-    assert result_cache.load(tmp_path, 1, 3, 1, Strategy("closure"), version=2) is None
+    assert result_cache.load(tmp_path, 1, 3, 1, version=2) is None
 
 
-def test_cache_strategy_keys_differ(tmp_path):
-    report = solve(1, 3, 1)
-    result_cache.store(tmp_path, report)
-    assert result_cache.load(tmp_path, 1, 3, 1, Strategy("matchings")) is None
+def test_cache_key_stable():
+    # the key a closure entry had while the strategy was selectable
+    assert result_cache.cache_key(3, 6, 3) == (
+        "0f6e421f0e5a11e573dd7286bfd4d456ccd0fbe50e570ead5468da852e1011cf"
+    )
 
 
 def test_cache_corrupt_entry_recomputed(tmp_path, capsys):
     report = solve(1, 3, 1)
     path = result_cache.store(tmp_path, report)
     path.write_text("{broken json")
-    assert result_cache.load(tmp_path, 1, 3, 1, Strategy("closure")) is None
+    assert result_cache.load(tmp_path, 1, 3, 1) is None
     assert "corrupt" in capsys.readouterr().err
     code, _ = invoke(["solve", "--k", "1", "--p", "3", "--q", "1",
                       "--cache-dir", str(tmp_path)])
     assert code == EXIT_OK
-    reloaded = result_cache.load(tmp_path, 1, 3, 1, Strategy("closure"))
+    reloaded = result_cache.load(tmp_path, 1, 3, 1)
     assert reloaded is not None and not reloaded.incomplete
 
 

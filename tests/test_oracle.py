@@ -10,7 +10,6 @@ from eqgrass.oracle import (
     validate_page,
 )
 from eqgrass.schubert import SignWord, e1_page
-from eqgrass.search import Strategy
 
 
 def test_gaussian_binomial_examples():
@@ -45,10 +44,6 @@ def test_naive_solve_small():
     weight_zero = naive_solve(2, 4, 0)
     assert len(weight_zero) == 1
     assert weight_zero[0].total_weight() == 0
-
-
-def test_naive_solve_matchings_agrees_at_rp2():
-    assert naive_solve(1, 3, 1, Strategy("matchings")) == naive_solve(1, 3, 1)
 
 
 def test_validate_page_passes_for_pages():

@@ -24,8 +24,6 @@ from conftest import cell_like_modules
 RP2_E1 = FreeModule([(0, 0), (1, 0), (2, 2)])
 RP2_H = FreeModule([(0, 0), (1, 1), (2, 1)])
 
-FAST = Budget(max_modules=200_000)
-
 
 def brute_force_differentials(module):
     """Independent oracle: try every ordered pair of generator bidegrees
@@ -63,10 +61,14 @@ def test_differentials_match_cone_oracle(m):
     assert got == brute_force_differentials(m)
 
 
-@pytest.mark.parametrize("kind", ["closure", "matchings"])
-def test_candidates_rp2(kind):
-    cands = candidate_outcomes(RP2_E1, Strategy(kind))
+def test_candidates_rp2():
+    cands = candidate_outcomes(RP2_E1)
     assert sorted(cands) == sorted([RP2_E1, RP2_H])
+
+
+def test_candidates_past_degree_255():
+    page = FreeModule([(299, 0), (300, 2)])
+    assert candidate_outcomes(page) == [page, FreeModule([(299, 1), (300, 1)])]
 
 
 def test_candidates_include_start_and_respect_invariants():
@@ -86,37 +88,10 @@ def test_candidates_fully_relaxed_page():
     assert candidate_outcomes(RP2_H) == [RP2_H]
 
 
-@given(cell_like_modules(max_gens=6, max_degree=6))
-@settings(max_examples=40, deadline=None)
-def test_closure_contains_matchings(m):
-    closure = set(candidate_outcomes(m, Strategy("closure"), FAST))
-    matchings = set(candidate_outcomes(m, Strategy("matchings"), FAST))
-    assert matchings <= closure
-    assert m in matchings
-
-
-def test_closure_contains_matchings_on_fixture_page():
-    page = unique_e1_pages(3, 6, 3)[0]
-    closure = set(candidate_outcomes(page, Strategy("closure")))
-    matchings = set(candidate_outcomes(page, Strategy("matchings")))
-    assert matchings < closure
-    assert len(closure) == 24
-
-
-def test_closure_depth_bound():
-    page = unique_e1_pages(3, 6, 3)[0]
-    by_depth = [len(candidate_outcomes(page, Strategy("closure", depth=d))) for d in range(5)]
-    assert by_depth[0] == 1
-    assert by_depth == sorted(by_depth)
-    assert by_depth[4] == 24
-
-
 def test_candidate_budget_abort():
     page = unique_e1_pages(3, 6, 3)[0]
     with pytest.raises(BudgetExceededError):
         candidate_outcomes(page, budget=Budget(max_modules=10))
-    with pytest.raises(BudgetExceededError):
-        candidate_outcomes(page, Strategy("matchings"), Budget(max_modules=5))
 
 
 def test_candidate_time_budget():
@@ -179,24 +154,25 @@ def test_solve_validates_parameters():
         solve(0, 3, 1)
     with pytest.raises(ValueError):
         solve(1, 3, 5)
+    with pytest.raises(ValueError):
+        solve(1, 3, 1, jobs=2)
 
 
 def test_solve_is_deterministic_and_job_independent():
     a = solve(3, 6, 3).to_json_bytes()
     b = solve(3, 6, 3).to_json_bytes()
-    c = solve(3, 6, 3, jobs=2).to_json_bytes()
-    assert a == b == c
-    # a case with enough candidates that workers actually engage
-    serial = solve(2, 8, 4).to_json_bytes()
-    parallel = solve(2, 8, 4, jobs=2).to_json_bytes()
-    assert serial == parallel
+    assert a == b
 
 
 def test_report_json_roundtrip():
     report = solve(3, 6, 3)
-    again = SolveReport.from_json(json.loads(report.to_json_bytes()))
+    data = json.loads(report.to_json_bytes())
+    again = SolveReport.from_json(data)
     assert again.to_json_bytes() == report.to_json_bytes()
     assert again.survivors == report.survivors
+    data["strategy"]["kind"] = "matchings"
+    with pytest.raises(ValueError):
+        SolveReport.from_json(data)
 
 
 def test_report_replay_matches_survivors():
@@ -248,5 +224,8 @@ def test_strategy_validation():
     with pytest.raises(ValueError):
         Strategy("breadth")
     with pytest.raises(ValueError):
+        Strategy("matchings")
+    with pytest.raises(ValueError):
         Strategy("closure", depth=-1)
-    assert Strategy("closure", 3).describe() == "closure(depth=3)"
+    with pytest.raises(ValueError):
+        Strategy(depth=2)
