@@ -1,9 +1,10 @@
 """Exact sparse arithmetic in Z[x,y] for bigraded Poincare polynomials.
 
 The bivariate polynomials here record free bigraded modules: a summand in
-bidegree (a, b) contributes the monomial x^a y^b.  Everything downstream
-(tension, shift stories, the relaxation filters) reduces to arithmetic in
-this ring, to the two substitution operators
+bidegree (a, b) contributes the monomial x^a y^b.  Tension and shift
+stories reduce to arithmetic in this ring (the relaxation check counts
+generators instead, and the division here is its oracle), to the two
+substitution operators
 
     underlying:   f(x, y) -> f(x, 1)      (Poincare polynomial of the
                                             underlying space)

@@ -2,15 +2,18 @@
 
 A free module here is nothing but a finite multiset of bidegrees (a, b):
 one entry per free summand shifted into that bidegree.  The bigraded
-Poincare polynomial of the multiset is a complete invariant, and the
-relaxation partial order ("can B be reached from A by shifts?") is decided
-entirely by polynomial arithmetic: the difference of Poincare polynomials
-must be divisible by the fundamental shift polynomial with a nonnegative
-quotient.
+Poincare polynomial of the multiset is a complete invariant.  B can be
+reached from A by shifts exactly when the shift story
+(P_B - P_A) / K_{1,1} exists and is nonnegative.  Writing e = a - b, the
+story's coefficient at x^i y^j is #B - #A over the corner
+{a <= i, e < i - j}, so ``FreeModule.can_relax_to`` decides relaxation by
+counting generators in corners, with no polynomial arithmetic; the
+division in ``shift_story`` is its independent oracle in the tests.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .bipoly import BiPoly
@@ -173,14 +176,41 @@ class FreeModule:
         return (other.poincare() - self.poincare()).divide_by_k11()
 
     def can_relax_to(self, other: "FreeModule") -> bool:
-        """True iff other is reachable from self by (possibly zero) shifts."""
+        """True iff other is reachable from self by (possibly zero) shifts.
+
+        Equivalent to ``shift_story(other)`` existing and being
+        nonnegative, decided by corner counts in coordinates (a, e = a - b):
+        both modules need the same degrees (the underlying polynomial) and
+        the same multiset of e (the fixed-point polynomial), and other must
+        have at least as many generators as self in every corner
+        {a <= i, e < t}, which is the story's coefficient there.
+        """
         if self._gens == other._gens:
             return True
         # A nonzero nonnegative story strictly lowers tension.
         if other.tension() >= self.tension():
             return False
-        story = self.shift_story(other)
-        return story is not None and story.is_nonnegative()
+        src, tgt = self._gens, other._gens
+        if len(src) != len(tgt):
+            return False
+        # diff[e + top] is #other - #self at e over the rows read so far.
+        # 2**b <= tension, so top bounds every weight of both modules and
+        # every index is nonnegative.
+        top = self.tension().bit_length() - 1
+        diff = [0] * (src[-1].a + top + 1)
+        row = src[0].a
+        for (a, b), (c, d) in zip(src, tgt):
+            if a != c:
+                return False
+            if a != row:
+                # The prefix sums of diff are the story's coefficients
+                # on the row just finished.
+                if min(accumulate(diff)) < 0:
+                    return False
+                row = a
+            diff[a - b + top] -= 1
+            diff[c - d + top] += 1
+        return not any(diff)
 
     # -- encodings ---------------------------------------------------------
 

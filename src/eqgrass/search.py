@@ -123,19 +123,24 @@ def candidate_outcomes(
     ``strategy`` can only be the closure; it is accepted so that callers
     may name it.
     """
-    # A state is the weights of the sorted generators, two bytes each,
+    # A state is the weights of the sorted generators, packed into bytes,
     # which keeps the visited set small and hashing cheap.  A shift keeps
     # every topological degree, so the start's sorted degrees pair up
     # with any state's weights in order.  The two weights a shift leaves
-    # lie strictly between the two it replaces, so every state fits in
-    # two bytes when the start's weights are below 65536.
+    # lie strictly between the two it replaces, so every state's weights
+    # fit the width that holds the start's largest weight: two bytes
+    # below 65536, eight bytes otherwise.
     degrees = [g.a for g in module.gens]
+    top = max((g.b for g in module.gens), default=0)
+    if top >= 1 << 64:
+        raise ValueError(f"weight {top} is too large for the closure (limit 2**64 - 1)")
+    typecode = "H" if top < 1 << 16 else "Q"
 
     def encode(pairs: Iterable[tuple[int, int]]) -> bytes:
-        return array("H", [b for _, b in sorted(pairs)]).tobytes()
+        return array(typecode, [b for _, b in sorted(pairs)]).tobytes()
 
     def decode(state: bytes) -> list[tuple[int, int]]:
-        return list(zip(degrees, array("H", state)))
+        return list(zip(degrees, array(typecode, state)))
 
     start = encode(module.gens)
     seen = {start}
@@ -176,13 +181,16 @@ def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
     ``pages`` must be distinct and sorted by tension ascending, as
     ``unique_e1_pages`` returns them.  Relaxing strictly lowers tension,
     so only earlier pages can be targets, and the first page is always
-    kept.
+    kept.  Each page is checked against the kept pages only: relaxation
+    is transitive, so a page that relaxes to a dropped page also relaxes
+    to the kept page that one relaxes to, and the result is the same as
+    checking every earlier page.
     """
-    return [
-        page
-        for i, page in enumerate(pages)
-        if not any(page.can_relax_to(pages[j]) for j in range(i))
-    ]
+    kept: list[FreeModule] = []
+    for page in pages:
+        if not any(page.can_relax_to(target) for target in kept):
+            kept.append(page)
+    return kept
 
 
 def subspace_filter(

@@ -1,5 +1,7 @@
+from functools import cache
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from eqgrass.bipoly import BiPoly, K11, parse_bipoly
 from eqgrass.modalg import (
@@ -9,6 +11,8 @@ from eqgrass.modalg import (
     module_from_poly,
     render_rank_table,
 )
+from eqgrass.schubert import unique_e1_pages
+from eqgrass.search import candidate_outcomes, possible_differentials
 
 from conftest import cell_like_modules
 
@@ -62,6 +66,77 @@ def test_can_relax_to():
     assert RP2_H.can_relax_to(RP2_H)
     # unrelated modules: no story at all
     assert RP2_E1.shift_story(FreeModule([(0, 0), (1, 0), (2, 1)])) is None
+    # equal margins and lower tension, but one corner count goes negative
+    a = FreeModule([(1, 0), (2, 1), (3, 1), (3, 3)])
+    b = FreeModule([(1, 1), (2, 0), (3, 2), (3, 2)])
+    assert a.shift_story(b) == parse_bipoly("x^2y - x^2 + x")
+    assert b.tension() < a.tension()
+    assert not a.can_relax_to(b)
+
+
+def _relaxes_by_division(a, b):
+    """The slow oracle: equal generators, or a lower tension and a shift
+    story that exists and is nonnegative."""
+    if a.gens == b.gens:
+        return True
+    if b.tension() >= a.tension():
+        return False
+    story = a.shift_story(b)
+    return story is not None and story.is_nonnegative()
+
+
+@cache
+def _pages_and_closure(space):
+    pages = unique_e1_pages(*space)
+    return tuple(pages) + tuple(candidate_outcomes(pages[0]))
+
+
+def _pairs_from(space):
+    pool = st.sampled_from(_pages_and_closure(space))
+    return st.tuples(pool, pool)
+
+
+@given(st.sampled_from([(2, 6, 3), (3, 6, 3), (2, 9, 4)]).flatmap(_pairs_from))
+@settings(max_examples=300)
+def test_relaxation_matches_division_on_closures(pair):
+    a, b = pair
+    assert a.can_relax_to(b) == _relaxes_by_division(a, b)
+
+
+# weights may exceed degrees: hand-entered modules need not be cell-like
+hand_bidegrees = st.tuples(st.integers(0, 5), st.integers(0, 7))
+
+
+@st.composite
+def hand_built_pairs(draw):
+    """Two multisets: unrelated; with the same degrees (equal underlying
+    polynomials) and random weights; with the same a - b (equal
+    fixed-point polynomials) and random degrees; or one reached from the
+    other by legal shifts.  Either may come first."""
+    a = FreeModule(draw(st.lists(hand_bidegrees, max_size=6)))
+    kind = draw(st.sampled_from(["unrelated", "same_degrees", "same_e", "shifted"]))
+    if kind == "unrelated":
+        b = FreeModule(draw(st.lists(hand_bidegrees, max_size=6)))
+    elif kind == "same_degrees":
+        b = FreeModule((g.a, draw(st.integers(0, 7))) for g in a)
+    elif kind == "same_e":
+        degrees = [draw(st.integers(max(g.a - g.b, 0), 7)) for g in a]
+        b = FreeModule((d, d - g.a + g.b) for d, g in zip(degrees, a))
+    else:
+        b = a
+        for _ in range(draw(st.integers(1, 3))):
+            moves = possible_differentials(b)
+            if not moves:
+                break
+            b = b.apply_shift(draw(st.sampled_from(moves)))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@given(hand_built_pairs())
+@settings(max_examples=300)
+def test_relaxation_matches_division_on_hand_built(pair):
+    a, b = pair
+    assert a.can_relax_to(b) == _relaxes_by_division(a, b)
 
 
 def test_apply_shift_examples():

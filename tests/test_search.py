@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqgrass.bipoly import PointCone, parse_bipoly
+from eqgrass.bipoly import BiPoly, PointCone, parse_bipoly
 from eqgrass.modalg import Bidegree, FreeModule
 from eqgrass.schubert import SignWord, e1_page, sign_words, unique_e1_pages
 from eqgrass.search import (
@@ -71,6 +71,16 @@ def test_candidates_past_degree_255():
     assert candidate_outcomes(page) == [page, FreeModule([(299, 1), (300, 1)])]
 
 
+def test_candidates_past_weight_65535():
+    # no legal move: n = 70000 but s = 0
+    page = FreeModule([(0, 0), (70000, 70000)])
+    assert candidate_outcomes(page) == [page]
+    page = FreeModule([(0, 0), (1, 70001)])
+    assert candidate_outcomes(page) == [page, FreeModule([(0, 70000), (1, 1)])]
+    with pytest.raises(ValueError, match="too large"):
+        candidate_outcomes(FreeModule([(0, 0), (1, 1 << 64)]))
+
+
 def test_candidates_include_start_and_respect_invariants():
     page = e1_page(2, SignWord.from_string("++--"))
     cands = candidate_outcomes(page)
@@ -125,6 +135,23 @@ def test_reduce_pages_matches_solve_filter_pages(space):
     assert kept[:0:-1] == [pages[i] for i in report.filter_page_indices]
 
 
+def _reduce_against_every_earlier_page(pages):
+    """The reduction rule checked against every earlier page, kept or not."""
+    return [
+        page
+        for i, page in enumerate(pages)
+        if not any(page.can_relax_to(pages[j]) for j in range(i))
+    ]
+
+
+@pytest.mark.parametrize(
+    "space", [(1, 3, 1), (3, 6, 3), (2, 8, 4), (2, 9, 4), (3, 7, 2), (3, 7, 3), (2, 11, 5)]
+)
+def test_reduce_pages_matches_every_earlier_page_rule(space):
+    pages = unique_e1_pages(*space)
+    assert reduce_pages(pages) == _reduce_against_every_earlier_page(pages)
+
+
 # sha256 of solve(k, p, q).to_json_bytes().  The cache keys on these bytes,
 # so a change that alters them must bump CACHE_VERSION and re-record here.
 SOLVE_GOLDEN_SHA256 = {
@@ -141,6 +168,18 @@ SOLVE_GOLDEN_SHA256 = {
 def test_solve_report_bytes_golden(space):
     digest = hashlib.sha256(solve(*space).to_json_bytes()).hexdigest()
     assert digest == SOLVE_GOLDEN_SHA256[space]
+
+
+def test_solve_does_no_polynomial_division(monkeypatch):
+    def refuse(self):
+        raise AssertionError("solve divided a polynomial")
+
+    monkeypatch.setattr(BiPoly, "divide_by_k11", refuse)
+    digest = hashlib.sha256(solve(2, 9, 4).to_json_bytes()).hexdigest()
+    assert digest == SOLVE_GOLDEN_SHA256[(2, 9, 4)]
+    report = solve(1, 60, 1)
+    assert not report.incomplete
+    assert report.survivors == report.pages[:1]
 
 
 def test_solve_rp2():
