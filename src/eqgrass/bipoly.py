@@ -50,9 +50,6 @@ class _SparsePoly:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __reduce__(self):
-        return (type(self), (self._terms,))
-
     @classmethod
     def zero(cls):
         return cls()

@@ -89,22 +89,36 @@ def _add_kpq(parser):
     parser.add_argument("--q", type=int, required=True, help="sign dimensions q")
 
 
+def _nonnegative(convert):
+    """An argparse type for a budget: ``convert``, then reject a negative
+    or NaN value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_budget(parser):
     parser.add_argument(
         "--max-modules",
-        type=int,
+        type=_nonnegative(int),
         default=DEFAULT_MAX_MODULES,
         help="candidate enumeration cap (default %(default)s)",
     )
     parser.add_argument(
         "--max-words",
-        type=int,
+        type=_nonnegative(int),
         default=DEFAULT_MAX_WORDS,
         help="sign word cap for page enumeration (default %(default)s)",
     )
     parser.add_argument(
         "--max-seconds",
-        type=float,
+        type=_nonnegative(float),
         default=None,
         help="wall-clock cap for candidate enumeration",
     )

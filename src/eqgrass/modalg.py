@@ -1,11 +1,12 @@
 """Free bigraded modules as multisets of bidegrees, and shift moves.
 
 A free module here is nothing but a finite multiset of bidegrees (a, b):
-one entry per free summand shifted into that bidegree.  The bigraded
-Poincare polynomial of the multiset is a complete invariant.  B can be
-reached from A by shifts exactly when the shift story
-(P_B - P_A) / K_{1,1} exists and is nonnegative.  Writing e = a - b, the
-story's coefficient at x^i y^j is #B - #A over the corner
+one entry per free summand shifted into that bidegree, held as a plain
+``(a, b)`` int pair; ``Bidegree`` only names the two ends of a
+``ShiftMove``.  The bigraded Poincare polynomial of the multiset is a
+complete invariant.  B can be reached from A by shifts exactly when the
+shift story (P_B - P_A) / K_{1,1} exists and is nonnegative.  Writing
+e = a - b, the story's coefficient at x^i y^j is #B - #A over the corner
 {a <= i, e < i - j}, so ``FreeModule.can_relax_to`` decides relaxation by
 counting generators in corners, with no polynomial arithmetic; the
 division in ``shift_story`` is its independent oracle in the tests.
@@ -20,6 +21,8 @@ from .bipoly import BiPoly
 
 
 class Bidegree(NamedTuple):
+    """One end of a ``ShiftMove``; generators are plain (a, b) pairs."""
+
     a: int  # topological degree
     b: int  # weight
 
@@ -36,11 +39,11 @@ class ShiftMove(NamedTuple):
 
     @property
     def n(self) -> int:
-        return self.tgt.a - self.src.a
+        return self.tgt[0] - self.src[0]
 
     @property
     def s(self) -> int:
-        return (self.tgt.b - self.src.b) - self.n
+        return (self.tgt[1] - self.src[1]) - self.n
 
     def is_legal(self) -> bool:
         return self.n >= 1 and self.s >= 1
@@ -58,28 +61,25 @@ def shift_result(src: tuple[int, int], tgt: tuple[int, int]) -> tuple[tuple, tup
 class FreeModule:
     """An immutable multiset of bidegrees in canonical sorted order.
 
-    Weights must be nonnegative; the stronger cell constraint b <= a is
-    enforced where modules are built from Schubert data, not here, so
-    hand-entered modules stay representable.
+    Each generator is a plain ``(a, b)`` int tuple.  Weights must be
+    nonnegative; the stronger cell constraint b <= a is enforced where
+    modules are built from Schubert data, not here, so hand-entered
+    modules stay representable.
     """
 
-    __slots__ = ("_gens", "_poly", "_tension")
+    __slots__ = ("_gens", "_tension")
 
     def __init__(self, gens: Iterable[tuple[int, int]] = ()):
         cleaned = []
         for a, b in gens:
             if a < 0 or b < 0:
                 raise ValueError(f"bidegree ({a}, {b}) has a negative entry")
-            cleaned.append(Bidegree(a, b))
+            cleaned.append((a, b))
         object.__setattr__(self, "_gens", tuple(sorted(cleaned)))
-        object.__setattr__(self, "_poly", None)
         object.__setattr__(self, "_tension", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeModule is immutable")
-
-    def __reduce__(self):
-        return (FreeModule, (tuple((a, b) for a, b in self._gens),))
 
     @classmethod
     def from_counts(cls, counts: dict[tuple[int, int], int]) -> "FreeModule":
@@ -91,11 +91,11 @@ class FreeModule:
         return cls(gens)
 
     @property
-    def gens(self) -> tuple[Bidegree, ...]:
+    def gens(self) -> tuple[tuple[int, int], ...]:
         return self._gens
 
-    def counts(self) -> dict[Bidegree, int]:
-        out: dict[Bidegree, int] = {}
+    def counts(self) -> dict[tuple[int, int], int]:
+        out: dict[tuple[int, int], int] = {}
         for g in self._gens:
             out[g] = out.get(g, 0) + 1
         return out
@@ -128,12 +128,7 @@ class FreeModule:
     # -- invariants ------------------------------------------------------
 
     def poincare(self) -> BiPoly:
-        if self._poly is None:
-            terms: dict[tuple[int, int], int] = {}
-            for a, b in self._gens:
-                terms[(a, b)] = terms.get((a, b), 0) + 1
-            object.__setattr__(self, "_poly", BiPoly(terms))
-        return self._poly
+        return BiPoly(self.counts())
 
     def tension(self) -> int:
         """poincare evaluated at (1, 2); strictly drops under every shift."""
@@ -149,17 +144,13 @@ class FreeModule:
     def apply_shift(self, move: ShiftMove) -> "FreeModule":
         """Apply one shift; the Poincare polynomial changes by
         x^a y^b K_{n,s}."""
-        src = Bidegree(*move.src)
-        tgt = Bidegree(*move.tgt)
-        move = ShiftMove(src, tgt)
+        src, tgt = tuple(move.src), tuple(move.tgt)
         if src not in self._gens:
-            raise ValueError(f"module has no generator at {tuple(src)}")
+            raise ValueError(f"module has no generator at {src}")
         if tgt not in self._gens or (src == tgt and self._gens.count(src) < 2):
-            raise ValueError(f"module has no generator at {tuple(tgt)}")
+            raise ValueError(f"module has no generator at {tgt}")
         if not move.is_legal():
-            raise ValueError(
-                f"illegal shift {tuple(src)} -> {tuple(tgt)}: need n >= 1 and s >= 1"
-            )
+            raise ValueError(f"illegal shift {src} -> {tgt}: need n >= 1 and s >= 1")
         gens = list(self._gens)
         gens.remove(src)
         gens.remove(tgt)
@@ -183,7 +174,11 @@ class FreeModule:
         both modules need the same degrees (the underlying polynomial) and
         the same multiset of e (the fixed-point polynomial), and other must
         have at least as many generators as self in every corner
-        {a <= i, e < t}, which is the story's coefficient there.
+        {a <= i, e < t}, which is the story's coefficient there.  Every
+        shift adds a nonnegative story, so reachable modules pass these
+        counts.  The converse, that every module passing them is reached by
+        legal single shifts, is not proven; ``tests/test_search.py`` checks
+        it against the closure in ``test_closure_is_relaxation_down_set``.
         """
         if self._gens == other._gens:
             return True
@@ -197,8 +192,8 @@ class FreeModule:
         # 2**b <= tension, so top bounds every weight of both modules and
         # every index is nonnegative.
         top = self.tension().bit_length() - 1
-        diff = [0] * (src[-1].a + top + 1)
-        row = src[0].a
+        diff = [0] * (src[-1][0] + top + 1)
+        row = src[0][0]
         for (a, b), (c, d) in zip(src, tgt):
             if a != c:
                 return False
@@ -224,10 +219,15 @@ class FreeModule:
     def from_json(cls, data: dict) -> "FreeModule":
         if not isinstance(data, dict) or "generators" not in data:
             raise ValueError("module JSON must be an object with a 'generators' key")
+        entries = data["generators"]
+        if not isinstance(entries, list):
+            raise ValueError("'generators' must be a list of [a, b, count] triples")
         counts: dict[tuple[int, int], int] = {}
-        for entry in data["generators"]:
+        for entry in entries:
+            if type(entry) is not list or [type(x) for x in entry] != [int, int, int]:
+                raise ValueError(f"generator {entry!r} is not an [a, b, count] triple of ints")
             a, b, k = entry
-            counts[(int(a), int(b))] = counts.get((int(a), int(b)), 0) + int(k)
+            counts[(a, b)] = counts.get((a, b), 0) + k
         return cls.from_counts(counts)
 
 
@@ -263,7 +263,7 @@ def render_rank_table(module: FreeModule) -> str:
     for b in range(max_b, -1, -1):
         cells = []
         for a in range(max_a + 1):
-            k = counts.get(Bidegree(a, b), 0)
+            k = counts.get((a, b), 0)
             cells.append(str(k).rjust(width) if k else " " * width)
         lines.append(f"{str(b).rjust(label_w)} | " + " ".join(cells))
     lines.append("-" * label_w + "-+-" + "-" * ((width + 1) * (max_a + 1) - 1))

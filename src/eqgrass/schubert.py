@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .modalg import Bidegree, FreeModule
+from .modalg import FreeModule
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def enumerate_cells(k: int, p: int) -> list[SchubertCell]:
     return [SchubertCell(c) for c in combinations(range(1, p + 1), k)]
 
 
-def cell_bidegree(cell: SchubertCell, word: SignWord) -> Bidegree:
+def cell_bidegree(cell: SchubertCell, word: SignWord) -> tuple[int, int]:
     """Dimension and weight of a cell under the given sign word.
 
     The dimension counts the free entries; the weight counts the free
@@ -95,7 +95,7 @@ def cell_bidegree(cell: SchubertCell, word: SignWord) -> Bidegree:
             dim += 1
             if signs[j - 1] != pivot_sign:
                 weight += 1
-    return Bidegree(dim, weight)
+    return (dim, weight)
 
 
 def e1_page(k: int, word: SignWord) -> FreeModule:

@@ -130,8 +130,8 @@ def candidate_outcomes(
     # lie strictly between the two it replaces, so every state's weights
     # fit the width that holds the start's largest weight: two bytes
     # below 65536, eight bytes otherwise.
-    degrees = [g.a for g in module.gens]
-    top = max((g.b for g in module.gens), default=0)
+    degrees = [a for a, _ in module.gens]
+    top = max((b for _, b in module.gens), default=0)
     if top >= 1 << 64:
         raise ValueError(f"weight {top} is too large for the closure (limit 2**64 - 1)")
     typecode = "H" if top < 1 << 16 else "Q"

@@ -139,6 +139,33 @@ def test_validate_poly_module_failing():
     assert "FAIL" in text
 
 
+@pytest.mark.parametrize(
+    "module",
+    ['{"generators": [null]}', '{"generators": 5}', '{"generators": [[0, 0, 1.5]]}'],
+)
+def test_validate_malformed_module_json_exit_2(module, capsys):
+    code, text = invoke(
+        ["validate", "--k", "1", "--p", "2", "--q", "1", "--module", module]
+    )
+    assert code == EXIT_USAGE and text == ""
+    assert capsys.readouterr().err.startswith("error: bad module: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--max-modules", "-1", "--no-cache"],
+        ["pages", "--max-words", "-1"],
+        ["candidates", "--max-seconds", "-0.5"],
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_negative_budget_exit_2(argv, capsys):
+    code, text = invoke([*argv, "--k", "1", "--p", "3", "--q", "1"])
+    assert code == EXIT_USAGE and text == ""
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
 def test_solve_table_matches_golden(tmp_path):
     code, text = invoke(
         ["solve", "--k", "3", "--p", "6", "--q", "2", "--format", "table",

@@ -11,7 +11,13 @@ from eqgrass.modalg import (
     module_from_poly,
     render_rank_table,
 )
-from eqgrass.schubert import unique_e1_pages
+from eqgrass.schubert import (
+    SignWord,
+    cell_bidegree,
+    e1_page,
+    enumerate_cells,
+    unique_e1_pages,
+)
 from eqgrass.search import candidate_outcomes, possible_differentials
 
 from conftest import cell_like_modules
@@ -118,10 +124,10 @@ def hand_built_pairs(draw):
     if kind == "unrelated":
         b = FreeModule(draw(st.lists(hand_bidegrees, max_size=6)))
     elif kind == "same_degrees":
-        b = FreeModule((g.a, draw(st.integers(0, 7))) for g in a)
+        b = FreeModule((deg, draw(st.integers(0, 7))) for deg, _ in a)
     elif kind == "same_e":
-        degrees = [draw(st.integers(max(g.a - g.b, 0), 7)) for g in a]
-        b = FreeModule((d, d - g.a + g.b) for d, g in zip(degrees, a))
+        degrees = [draw(st.integers(max(deg - wt, 0), 7)) for deg, wt in a]
+        b = FreeModule((d, d - deg + wt) for d, (deg, wt) in zip(degrees, a))
     else:
         b = a
         for _ in range(draw(st.integers(1, 3))):
@@ -251,6 +257,50 @@ def test_json_roundtrip():
     assert FreeModule.from_json(data) == GR242_E1
     with pytest.raises(ValueError):
         FreeModule.from_json({"gens": []})
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [None],
+        5,
+        None,
+        [[0, 0, 1.5]],
+        [[0, 0]],
+        [[0, 0, 1, 1]],
+        [["0", 0, 1]],
+        [[0, 0, True]],
+        [[0, 0, 1], [1, 1.0, 1]],
+    ],
+    ids=repr,
+)
+def test_from_json_rejects_malformed_generators(generators):
+    with pytest.raises(ValueError, match="generator"):
+        FreeModule.from_json({"generators": generators})
+
+
+def test_generators_are_plain_tuples():
+    word = SignWord.from_string("++--")
+    pages = unique_e1_pages(2, 4, 2)
+    built = [
+        e1_page(2, word),
+        *pages,
+        *candidate_outcomes(pages[0]),
+        FreeModule.from_counts({(0, 0): 1, (2, 1): 2}),
+        FreeModule.from_json(GR242_E1.to_json()),
+        module_from_poly(parse_bipoly("1 + xy + 2x^2y")),
+        GR242_E1.apply_shift(ShiftMove(Bidegree(3, 1), Bidegree(4, 4))),
+        GR242_E1.apply_shift(ShiftMove((3, 1), (4, 4))),
+        RP2_E1 + RP2_H,
+    ]
+    assert all(type(g) is tuple for m in built for g in m.gens)
+    assert all(
+        type(cell_bidegree(cell, word)) is tuple for cell in enumerate_cells(2, 4)
+    )
+    assert all(type(key) is tuple for key in GR242_E1.counts())
+    # a move built from plain pairs, as module.gens hands them out
+    assert ShiftMove((1, 0), (2, 2)).s == 1
+    assert ShiftMove(*RP2_E1.gens[1:]).n == 1
 
 
 def test_rank_table_fig_242():

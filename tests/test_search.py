@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +93,29 @@ def test_candidates_include_start_and_respect_invariants():
         assert cand.total_weight() == page.total_weight()
         assert len(cand) == len(page)
         assert page.can_relax_to(cand)
+
+
+# weights may exceed degrees: hand-entered modules need not be cell-like
+hand_modules = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=6
+).map(FreeModule)
+
+
+def _same_margins(module):
+    """Every module with module's degree slots and a rearrangement of its
+    multiset of e = a - b over them, keeping weights nonnegative."""
+    degrees = [a for a, _ in module.gens]
+    es = [a - b for a, b in module.gens]
+    for arrangement in set(permutations(es)):
+        if all(a >= e for a, e in zip(degrees, arrangement)):
+            yield FreeModule((a, a - e) for a, e in zip(degrees, arrangement))
+
+
+@given(hand_modules)
+@settings(max_examples=1000, deadline=None)
+def test_closure_is_relaxation_down_set(module):
+    expected = {b for b in _same_margins(module) if module.can_relax_to(b)}
+    assert set(candidate_outcomes(module)) == expected
 
 
 def test_candidates_fully_relaxed_page():
