@@ -61,7 +61,8 @@ def shift_result(src: tuple[int, int], tgt: tuple[int, int]) -> tuple[tuple, tup
 class FreeModule:
     """An immutable multiset of bidegrees in canonical sorted order.
 
-    Each generator is a plain ``(a, b)`` int tuple.  Weights must be
+    Each generator is a plain ``(a, b)`` tuple of exact ints; ``bool``,
+    ``float`` and every other type raise ``ValueError``.  Weights must be
     nonnegative; the stronger cell constraint b <= a is enforced where
     modules are built from Schubert data, not here, so hand-entered
     modules stay representable.
@@ -72,6 +73,8 @@ class FreeModule:
     def __init__(self, gens: Iterable[tuple[int, int]] = ()):
         cleaned = []
         for a, b in gens:
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"bidegree ({a!r}, {b!r}) is not a pair of ints")
             if a < 0 or b < 0:
                 raise ValueError(f"bidegree ({a}, {b}) has a negative entry")
             cleaned.append((a, b))
@@ -85,6 +88,8 @@ class FreeModule:
     def from_counts(cls, counts: dict[tuple[int, int], int]) -> "FreeModule":
         gens = []
         for (a, b), k in counts.items():
+            if type(k) is not int:
+                raise ValueError(f"multiplicity {k!r} for ({a!r}, {b!r}) is not an int")
             if k < 0:
                 raise ValueError(f"negative multiplicity for ({a}, {b})")
             gens.extend([(a, b)] * k)

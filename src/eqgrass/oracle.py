@@ -3,17 +3,19 @@
 Nothing here feeds the solver.  These are the two commuting-square
 validations (the y=1 image must be the classical Poincare polynomial of
 the underlying Grassmannian, the y=1/x image that of the fixed set), the
-total-weight count, and the unpruned exhaustive search for cross-checking
-the solver at small scale.
+total-weight count, the plain closure search, and the unpruned
+exhaustive search for cross-checking the solver at small scale.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from .bipoly import UniPoly
-from .modalg import FreeModule
+from .modalg import FreeModule, shift_result
 from .schubert import (
     e1_page,
     enumerate_cells,
@@ -21,7 +23,7 @@ from .schubert import (
     total_weight_formula,
     unique_e1_pages,
 )
-from .search import Budget, DEFAULT_BUDGET, candidate_outcomes
+from .search import Budget, BudgetExceededError, DEFAULT_BUDGET, _legal_moves
 
 
 def gaussian_binomial(p: int, k: int) -> UniPoly:
@@ -55,19 +57,54 @@ def fixed_set_poincare(k: int, p: int, q: int) -> UniPoly:
     return total
 
 
+def closure_oracle(
+    module: FreeModule,
+    max_modules: int | None = None,
+    max_seconds: float | None = None,
+) -> list[FreeModule]:
+    """``search.candidate_outcomes`` done slowly: a breadth-first search
+    over sorted generator tuples that lists each state's moves afresh.
+    The caps raise the same ``BudgetExceededError`` messages."""
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    start = module.gens
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceededError(
+                f"candidate enumeration exceeded {max_seconds} seconds"
+            )
+        gens = frontier.popleft()
+        for src, tgt in _legal_moves(gens):
+            after = list(gens)
+            after.remove(src)
+            after.remove(tgt)
+            after.extend(shift_result(src, tgt))
+            child = tuple(sorted(after))
+            if child in seen:
+                continue
+            seen.add(child)
+            if max_modules is not None and len(seen) > max_modules:
+                raise BudgetExceededError(
+                    f"candidate enumeration exceeded {max_modules} modules"
+                )
+            frontier.append(child)
+    return sorted(FreeModule(gens) for gens in seen)
+
+
 def naive_solve(
     k: int,
     p: int,
     q: int,
     budget: Budget = DEFAULT_BUDGET,
 ) -> list[FreeModule]:
-    """Exhaustive search: intersect the candidate outcomes of every
-    distinct first page.  Contains the true answer by construction;
+    """Exhaustive search: intersect the ``closure_oracle`` outcomes of
+    every distinct first page.  Contains the true answer by construction;
     feasible only at small parameters."""
     pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
     common: set[FreeModule] | None = None
     for page in pages:
-        outcomes = set(candidate_outcomes(page, budget=budget))
+        outcomes = set(closure_oracle(page, budget.max_modules, budget.max_seconds))
         common = outcomes if common is None else (common & outcomes)
         if not common:
             break

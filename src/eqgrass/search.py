@@ -19,8 +19,10 @@ relaxation check behind steps c and d.
 Step b is the closure: it replays single shifts breadth-first,
 recomputing the possible differentials at every intermediate module, so
 a summand shifted down by one move may support the next.  This models
-re-running the sequence after each cell attachment.  Every move strictly
-decreases tension, so the closure is finite and always runs to the end.
+re-running the sequence after each cell attachment.  It runs on count
+tables over (row, e = a - b) cells, where a move swaps two values of e.
+Every move strictly decreases tension, so the closure is finite and
+always runs to the end.  ``oracle.closure_oracle`` is its slow reference.
 """
 
 from __future__ import annotations
@@ -123,26 +125,31 @@ def candidate_outcomes(
     ``strategy`` can only be the closure; it is accepted so that callers
     may name it.
     """
-    # A state is the weights of the sorted generators, packed into bytes,
-    # which keeps the visited set small and hashing cheap.  A shift keeps
-    # every topological degree, so the start's sorted degrees pair up
-    # with any state's weights in order.  The two weights a shift leaves
-    # lie strictly between the two it replaces, so every state's weights
-    # fit the width that holds the start's largest weight: two bytes
-    # below 65536, eight bytes otherwise.
-    degrees = [a for a, _ in module.gens]
-    top = max((b for _, b in module.gens), default=0)
-    if top >= 1 << 64:
-        raise ValueError(f"weight {top} is too large for the closure (limit 2**64 - 1)")
-    typecode = "H" if top < 1 << 16 else "Q"
+    # A state is a count table over the cells, the bidegrees a generator
+    # can reach (the start's, closed under the move rule), packed into
+    # bytes.  In coordinates e = a - b a move swaps e1 in row a with a
+    # smaller e2 in a higher row, so it is -1, -1, +1, +1 on four counts,
+    # and a state tries only the moves between its live cells.  One cell
+    # can gather up to len(module) generators, which sets the width.
+    cells = set(module.gens)
+    while True:
+        moves = [(src, tgt, *shift_result(src, tgt)) for src, tgt in _legal_moves(cells)]
+        reached = {cell for move in moves for cell in move[2:]}
+        if reached <= cells:
+            break
+        cells |= reached
+    cells = sorted(cells)
+    index = {cell: i for i, cell in enumerate(cells)}
+    partners: list[list[tuple[int, int, int]]] = [[] for _ in cells]
+    for src, tgt, src_after, tgt_after in moves:
+        partners[index[src]].append((index[tgt], index[src_after], index[tgt_after]))
+    movers = [(i, swaps) for i, swaps in enumerate(partners) if swaps]
+    typecode = next(t for t in "BHIQ" if len(module) < 1 << 8 * array(t).itemsize)
 
-    def encode(pairs: Iterable[tuple[int, int]]) -> bytes:
-        return array(typecode, [b for _, b in sorted(pairs)]).tobytes()
-
-    def decode(state: bytes) -> list[tuple[int, int]]:
-        return list(zip(degrees, array(typecode, state)))
-
-    start = encode(module.gens)
+    table = array(typecode, [0]) * len(cells)
+    for gen in module.gens:
+        table[index[gen]] += 1
+    start = table.tobytes()
     seen = {start}
     frontier = deque([start])
     max_modules = budget.max_modules
@@ -154,24 +161,35 @@ def candidate_outcomes(
             raise BudgetExceededError(
                 f"candidate enumeration exceeded {budget.max_seconds} seconds"
             )
-        pairs = decode(frontier.popleft())
-        for src, tgt in _legal_moves(pairs):
-            src_after, tgt_after = shift_result(src, tgt)
-            after = list(pairs)
-            after.remove(src)
-            after.remove(tgt)
-            after.append(src_after)
-            after.append(tgt_after)
-            child = encode(after)
-            if child in seen:
+        table = array(typecode, frontier.popleft())
+        for i, swaps in movers:
+            if not table[i]:
                 continue
-            seen.add(child)
-            if max_modules is not None and len(seen) > max_modules:
-                raise BudgetExceededError(
-                    f"candidate enumeration exceeded {max_modules} modules"
-                )
-            frontier.append(child)
-    return sorted(FreeModule(decode(s)) for s in seen)
+            for j, i_after, j_after in swaps:
+                if not table[j]:
+                    continue
+                after = table[:]
+                after[i] -= 1
+                after[j] -= 1
+                after[i_after] += 1
+                after[j_after] += 1
+                child = after.tobytes()
+                if child in seen:
+                    continue
+                seen.add(child)
+                if max_modules is not None and len(seen) > max_modules:
+                    raise BudgetExceededError(
+                        f"candidate enumeration exceeded {max_modules} modules"
+                    )
+                frontier.append(child)
+    return sorted(
+        FreeModule(
+            cell
+            for cell, count in zip(cells, array(typecode, state))
+            for _ in range(count)
+        )
+        for state in seen
+    )
 
 
 def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:

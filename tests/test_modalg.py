@@ -279,6 +279,22 @@ def test_from_json_rejects_malformed_generators(generators):
         FreeModule.from_json({"generators": generators})
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [[(1.5, 0)], [(True, 0)], [(0, 2.0)], [(0, False)], [(0, 0), ("1", 1)]],
+    ids=repr,
+)
+def test_init_rejects_entries_that_are_not_ints(gens):
+    with pytest.raises(ValueError, match="not a pair of ints"):
+        FreeModule(gens)
+
+
+@pytest.mark.parametrize("count", [1.5, 2.0, True], ids=repr)
+def test_from_counts_rejects_multiplicities_that_are_not_ints(count):
+    with pytest.raises(ValueError, match="not an int"):
+        FreeModule.from_counts({(0, 0): count})
+
+
 def test_generators_are_plain_tuples():
     word = SignWord.from_string("++--")
     pages = unique_e1_pages(2, 4, 2)

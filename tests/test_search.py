@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from eqgrass.bipoly import BiPoly, PointCone, parse_bipoly
 from eqgrass.modalg import Bidegree, FreeModule
+from eqgrass.oracle import closure_oracle
 from eqgrass.schubert import SignWord, e1_page, sign_words, unique_e1_pages
 from eqgrass.search import (
     Budget,
@@ -78,8 +79,16 @@ def test_candidates_past_weight_65535():
     assert candidate_outcomes(page) == [page]
     page = FreeModule([(0, 0), (1, 70001)])
     assert candidate_outcomes(page) == [page, FreeModule([(0, 70000), (1, 1)])]
-    with pytest.raises(ValueError, match="too large"):
-        candidate_outcomes(FreeModule([(0, 0), (1, 1 << 64)]))
+    page = FreeModule([(0, 0), (1, 1 << 64)])
+    expected = [page, FreeModule([(0, 2**64 - 1), (1, 1)])]
+    assert candidate_outcomes(page) == expected == closure_oracle(page)
+
+
+def test_candidates_cell_outgrows_start_cells():
+    # one move puts a 256th generator into the cell (0, 1), which holds 255
+    page = FreeModule([(0, 1)] * 255 + [(0, 0), (1, 2)])
+    moved = FreeModule([(0, 1)] * 256 + [(1, 1)])
+    assert candidate_outcomes(page) == [page, moved]
 
 
 def test_candidates_include_start_and_respect_invariants():
@@ -116,6 +125,18 @@ def _same_margins(module):
 def test_closure_is_relaxation_down_set(module):
     expected = {b for b in _same_margins(module) if module.can_relax_to(b)}
     assert set(candidate_outcomes(module)) == expected
+
+
+@given(hand_modules)
+@settings(max_examples=500, deadline=None)
+def test_closure_matches_oracle(module):
+    assert candidate_outcomes(module) == closure_oracle(module)
+
+
+@pytest.mark.parametrize("space", [(3, 7, 2), (2, 11, 5), (4, 8, 2)])
+def test_closure_matches_oracle_on_first_page(space):
+    page = unique_e1_pages(*space)[0]
+    assert candidate_outcomes(page) == closure_oracle(page)
 
 
 def test_candidates_fully_relaxed_page():
