@@ -3,7 +3,6 @@
 from .bipoly import (
     BiPoly,
     K11,
-    PointCone,
     PolynomialParseError,
     UniPoly,
     kronholm_poly,
@@ -51,7 +50,6 @@ __all__ = [
     "FreeModule",
     "K11",
     "PageDiagnostics",
-    "PointCone",
     "PolynomialParseError",
     "SchubertCell",
     "ShiftMove",

@@ -14,7 +14,7 @@ division in ``shift_story`` is its independent oracle in the tests.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, NamedTuple
 
 from .bipoly import BiPoly
@@ -65,20 +65,25 @@ class FreeModule:
     ``float`` and every other type raise ``ValueError``.  Weights must be
     nonnegative; the stronger cell constraint b <= a is enforced where
     modules are built from Schubert data, not here, so hand-entered
-    modules stay representable.
+    modules stay representable.  A generator that is already a tuple is
+    kept, not copied, so modules built from others share generators.
     """
 
     __slots__ = ("_gens", "_tension")
 
     def __init__(self, gens: Iterable[tuple[int, int]] = ()):
-        cleaned = []
-        for a, b in gens:
-            if type(a) is not int or type(b) is not int:
-                raise ValueError(f"bidegree ({a!r}, {b!r}) is not a pair of ints")
-            if a < 0 or b < 0:
-                raise ValueError(f"bidegree ({a}, {b}) has a negative entry")
-            cleaned.append((a, b))
-        object.__setattr__(self, "_gens", tuple(sorted(cleaned)))
+        pairs = list(map(tuple, gens))
+        flat = list(chain.from_iterable(pairs))
+        ints = set(map(type, flat)) <= {int} and min(flat, default=0) >= 0
+        if not ints or len(flat) != 2 * len(pairs):
+            # Checked in bulk; the loop only names the first bad entry.
+            for a, b in pairs:
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError(f"bidegree ({a!r}, {b!r}) is not a pair of ints")
+                if a < 0 or b < 0:
+                    raise ValueError(f"bidegree ({a}, {b}) has a negative entry")
+        pairs.sort()
+        object.__setattr__(self, "_gens", tuple(pairs))
         object.__setattr__(self, "_tension", None)
 
     def __setattr__(self, name, value):
@@ -124,7 +129,7 @@ class FreeModule:
         """Direct sum: the multisets are merged."""
         if not isinstance(other, FreeModule):
             return NotImplemented
-        return FreeModule(tuple(self._gens) + tuple(other._gens))
+        return FreeModule(self._gens + other._gens)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({a},{b})" for a, b in self._gens)
@@ -138,7 +143,7 @@ class FreeModule:
     def tension(self) -> int:
         """poincare evaluated at (1, 2); strictly drops under every shift."""
         if self._tension is None:
-            object.__setattr__(self, "_tension", sum(2**b for _, b in self._gens))
+            object.__setattr__(self, "_tension", sum(1 << b for _, b in self._gens))
         return self._tension
 
     def total_weight(self) -> int:

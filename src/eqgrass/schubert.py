@@ -13,14 +13,19 @@ entry acquires the sign action exactly when its own column and its row's
 pivot column carry different letters.  The first page of the filtration
 spectral sequence then has one generator per cell, placed at
 (dimension, weight).
+
+Every page builder computes weights by one bitmask formula: bit j - 1
+stands for column j, a word is the mask of its sign letters, and each
+row of a cell is its pivot bit with the mask of its free columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import NamedTuple
+from itertools import combinations, repeat
+from operator import getitem
+from typing import Iterable, NamedTuple
 
 from .modalg import FreeModule
 
@@ -54,6 +59,10 @@ class SignWord:
     def __str__(self) -> str:
         return "".join("-" if s else "+" for s in self.signs)
 
+    @property
+    def mask(self) -> int:
+        return sum(1 << j for j, s in enumerate(self.signs) if s)
+
     def prefix(self, m: int) -> "SignWord":
         return SignWord(self.signs[:m])
 
@@ -72,6 +81,31 @@ def enumerate_cells(k: int, p: int) -> list[SchubertCell]:
     return [SchubertCell(c) for c in combinations(range(1, p + 1), k)]
 
 
+def _cell_rows(cells: Iterable[SchubertCell]) -> tuple[list, list]:
+    """Each cell's (dimension, weight) pairs indexed by weight, shared
+    by every page, and the rows of all cells in order.  A row is (pivot
+    bit, mask of the columns left of the pivot that are not pivots)."""
+    gens, rows = [], []
+    for (pivots,) in cells:
+        taken = sum(1 << (c - 1) for c in pivots)
+        cell = [(1 << (c - 1), ((1 << (c - 1)) - 1) & ~taken) for c in pivots]
+        dim = sum(free.bit_count() for _, free in cell)
+        gens.append(tuple((dim, w) for w in range(dim + 1)))
+        rows += cell
+    return gens, rows
+
+
+def _bidegrees(gens: list, rows: list, k: int, mask: int) -> list[tuple[int, int]]:
+    """(dimension, weight) of each cell under the word whose sign letters
+    are the set bits of ``mask``: a row weighs the free columns whose
+    letter differs from its pivot's."""
+    flip = ~mask
+    weights = [(free & (flip if mask & bit else mask)).bit_count() for bit, free in rows]
+    # Each cell owns k consecutive rows; with k = 0 the one cell is empty.
+    per_cell = map(sum, zip(*[iter(weights)] * k)) if k else repeat(0)
+    return list(map(getitem, gens, per_cell))
+
+
 def cell_bidegree(cell: SchubertCell, word: SignWord) -> tuple[int, int]:
     """Dimension and weight of a cell under the given sign word.
 
@@ -83,35 +117,28 @@ def cell_bidegree(cell: SchubertCell, word: SignWord) -> tuple[int, int]:
         raise ValueError(
             f"sign word of length {word.p} too short for pivots {pivots}"
         )
-    signs = word.signs
-    pivot_set = set(pivots)
-    dim = 0
-    weight = 0
-    for row, c in enumerate(pivots, start=1):
-        pivot_sign = signs[c - 1]
-        for j in range(1, c):
-            if j in pivot_set:
-                continue
-            dim += 1
-            if signs[j - 1] != pivot_sign:
-                weight += 1
-    return (dim, weight)
+    return _bidegrees(*_cell_rows([cell]), len(pivots), word.mask)[0]
 
 
 def e1_page(k: int, word: SignWord) -> FreeModule:
     """First page of the filtration spectral sequence: one generator
     per cell at (dimension, weight)."""
-    gens = [cell_bidegree(c, word) for c in enumerate_cells(k, word.p)]
+    gens = _bidegrees(*_cell_rows(enumerate_cells(k, word.p)), k, word.mask)
     assert all(0 <= b <= a for a, b in gens)
     return FreeModule(gens)
 
 
-def sign_words(p: int, q: int) -> list[SignWord]:
-    """All C(p, q) words with q sign letters, in lexicographic order."""
+def _sign_positions(p: int, q: int) -> Iterable[tuple[int, ...]]:
+    """The 0-based sign positions of each word, in lexicographic order."""
     if q < 0 or q > p:
         raise ValueError(f"need 0 <= q <= p, got q={q}, p={p}")
+    return combinations(range(p), q)
+
+
+def sign_words(p: int, q: int) -> list[SignWord]:
+    """All C(p, q) words with q sign letters, in lexicographic order."""
     words = []
-    for minus_positions in combinations(range(p), q):
+    for minus_positions in _sign_positions(p, q):
         signs = [False] * p
         for i in minus_positions:
             signs[i] = True
@@ -127,20 +154,23 @@ def unique_e1_pages(
 
     ``max_words`` caps how many of the C(p, q) sign words get examined;
     exceeding it raises BudgetExceededError rather than churning on a
-    space whose downstream search is out of reach anyway.
+    space whose downstream search is out of reach anyway.  No word list
+    is built: each word is visited as a mask.
     """
     from .search import BudgetExceededError  # cycle-free at call time
 
-    # Counted before any word is built; sign_words rejects a bad q.
+    # Counted before any word is built; _sign_positions rejects a bad q.
     n_words = math.comb(p, q) if 0 <= q <= p else 0
     if max_words is not None and n_words > max_words:
         raise BudgetExceededError(
             f"(k={k}, p={p}, q={q}) needs {n_words} sign words, over the "
             f"budget of {max_words}; raise the word budget to continue"
         )
+    positions = _sign_positions(p, q)
+    gens, rows = _cell_rows(enumerate_cells(k, p))
     seen: set[FreeModule] = set()
-    for word in sign_words(p, q):
-        seen.add(e1_page(k, word))
+    for signs in positions:
+        seen.add(FreeModule(_bidegrees(gens, rows, k, sum(1 << j for j in signs))))
     return sorted(seen, key=lambda m: (m.tension(), m.gens))
 
 
@@ -152,12 +182,8 @@ def e1_quotient_page(k: int, word: SignWord, m: int) -> FreeModule:
         raise ValueError(f"need m < p, got m={m}, p={word.p}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    gens = [
-        cell_bidegree(c, word)
-        for c in enumerate_cells(k, word.p)
-        if c.pivots and c.pivots[-1] > m
-    ]
-    return FreeModule(gens)
+    cells = [c for c in enumerate_cells(k, word.p) if c.pivots and c.pivots[-1] > m]
+    return FreeModule(_bidegrees(*_cell_rows(cells), k, word.mask))
 
 
 def total_weight_formula(k: int, p: int, q: int) -> int:

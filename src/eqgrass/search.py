@@ -32,6 +32,7 @@ import time
 from array import array
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Literal, Sequence
 
 from .modalg import Bidegree, FreeModule, ShiftMove, shift_result
@@ -182,12 +183,9 @@ def candidate_outcomes(
                         f"candidate enumeration exceeded {max_modules} modules"
                     )
                 frontier.append(child)
+    # The cells are sorted, so each decode yields its generators in order.
     return sorted(
-        FreeModule(
-            cell
-            for cell, count in zip(cells, array(typecode, state))
-            for _ in range(count)
-        )
+        FreeModule(chain.from_iterable(map(repeat, cells, array(typecode, state))))
         for state in seen
     )
 

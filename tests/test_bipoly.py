@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from eqgrass.bipoly import (
     BiPoly,
     K11,
-    PointCone,
     PolynomialParseError,
     UniPoly,
     kronholm_poly,
     parse_bipoly,
 )
 
-from conftest import bipolys, shift_multiples
+from conftest import PointCone, bipolys, shift_multiples
 
 X = BiPoly.monomial(1, 0)
 Y = BiPoly.monomial(0, 1)

@@ -289,6 +289,52 @@ def test_init_rejects_entries_that_are_not_ints(gens):
         FreeModule(gens)
 
 
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        ([(0, 0, 1)], "too many values to unpack"),
+        ([(0,)], "not enough values to unpack"),
+        ([(0, 0), (1, 1, 1)], "too many values to unpack"),
+        ([(0, 0), (True, 0)], "bidegree (True, 0) is not a pair of ints"),
+        ([(1.5, 0), (0, -1)], "bidegree (1.5, 0) is not a pair of ints"),
+        ([(0, 0), (2, -1), (-3, 0)], "bidegree (2, -1) has a negative entry"),
+    ],
+    ids=repr,
+)
+def test_init_error_messages(gens, message):
+    # The bulk check falls back to the per-entry loop to name the first
+    # bad entry, with the messages the loop has always raised.
+    with pytest.raises(ValueError) as info:
+        FreeModule(gens)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("gens", [[5], [(0, 0), None]], ids=repr)
+def test_init_rejects_entries_that_are_not_iterable(gens):
+    with pytest.raises(TypeError):
+        FreeModule(gens)
+
+
+def test_init_accepts_iterators_and_lists():
+    expected = ((0, 0), (1, 1), (2, 1))
+    for gens in [
+        iter([(2, 1), (0, 0), (1, 1)]),
+        ((a, b) for a, b in [(1, 1), (2, 1), (0, 0)]),
+        [[2, 1], [1, 1], [0, 0]],
+        [iter([1, 1]), (2, 1), Bidegree(0, 0)],
+    ]:
+        m = FreeModule(gens)
+        assert m.gens == expected
+        assert all(type(g) is tuple for g in m.gens)
+
+
+def test_init_shares_tuple_generators():
+    m = FreeModule([(3, 1), (0, 0), (2, 2), (2, 2)])
+    again = FreeModule(m.gens)
+    assert all(again.gens[i] is m.gens[i] for i in range(len(m)))
+    assert all(g is h for g, h in zip((m + m).gens[::2], m.gens))
+
+
 @pytest.mark.parametrize("count", [1.5, 2.0, True], ids=repr)
 def test_from_counts_rejects_multiplicities_that_are_not_ints(count):
     with pytest.raises(ValueError, match="not an int"):

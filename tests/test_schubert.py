@@ -25,6 +25,52 @@ def W(text):
     return SignWord.from_string(text)
 
 
+def slow_cell_bidegree(cell, word):
+    """Reference for the census: walk each row's columns one at a time."""
+    signs = word.signs
+    pivot_set = set(cell.pivots)
+    dim = 0
+    weight = 0
+    for c in cell.pivots:
+        pivot_sign = signs[c - 1]
+        for j in range(1, c):
+            if j in pivot_set:
+                continue
+            dim += 1
+            if signs[j - 1] != pivot_sign:
+                weight += 1
+    return (dim, weight)
+
+
+def slow_unique_pages(k, p, q):
+    pages = {
+        FreeModule(slow_cell_bidegree(c, w) for c in enumerate_cells(k, p))
+        for w in sign_words(p, q)
+    }
+    return sorted(pages, key=lambda m: (m.tension(), m.gens))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_census_matches_slow_oracle(data):
+    p = data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(0, p))
+    q = data.draw(st.integers(0, p))
+    word = data.draw(st.sampled_from(sign_words(p, q)))
+    cells = enumerate_cells(k, p)
+    slow = [slow_cell_bidegree(c, word) for c in cells]
+    assert [cell_bidegree(c, word) for c in cells] == slow
+    assert e1_page(k, word) == FreeModule(slow)
+    m = data.draw(st.integers(0, p - 1))
+    kept = [g for c, g in zip(cells, slow) if c.pivots and c.pivots[-1] > m]
+    assert e1_quotient_page(k, word, m) == FreeModule(kept)
+
+
+@pytest.mark.parametrize("space", [(2, 6, 3), (3, 7, 2), (2, 11, 5)])
+def test_unique_pages_match_slow_oracle(space):
+    assert unique_e1_pages(*space) == slow_unique_pages(*space)
+
+
 def test_sign_word_parsing():
     w = W("--+++-")
     assert (w.p, w.q) == (6, 3)
@@ -116,6 +162,19 @@ def test_word_budget_fires_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_census_iterates_words_lazily():
+    # C(16, 8) = 12870 words; building them as a list alone peaks past
+    # 2.5 MiB, while the 1430 distinct pages share their generators.
+    tracemalloc.start()
+    try:
+        pages = unique_e1_pages(1, 16, 8, max_words=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pages) == 1430
+    assert peak < 2.5 * (1 << 20)
 
 
 def test_quotient_page_cell_count():

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqgrass.bipoly import BiPoly, PointCone, parse_bipoly
+from eqgrass.bipoly import BiPoly, parse_bipoly
 from eqgrass.modalg import Bidegree, FreeModule
 from eqgrass.oracle import closure_oracle
 from eqgrass.schubert import SignWord, e1_page, sign_words, unique_e1_pages
@@ -21,7 +21,7 @@ from eqgrass.search import (
     subspace_filter,
 )
 
-from conftest import cell_like_modules
+from conftest import PointCone, cell_like_modules
 
 RP2_E1 = FreeModule([(0, 0), (1, 0), (2, 2)])
 RP2_H = FreeModule([(0, 0), (1, 1), (2, 1)])
@@ -125,6 +125,7 @@ def _same_margins(module):
 def test_closure_is_relaxation_down_set(module):
     expected = {b for b in _same_margins(module) if module.can_relax_to(b)}
     assert set(candidate_outcomes(module)) == expected
+    assert set(closure_oracle(module)) == expected
 
 
 @given(hand_modules)
