@@ -19,15 +19,18 @@ relaxation check behind steps c and d.
 Step b is the closure: it replays single shifts breadth-first,
 recomputing the possible differentials at every intermediate module, so
 a summand shifted down by one move may support the next.  This models
-re-running the sequence after each cell attachment.  It runs on count
-tables over (row, e = a - b) cells, where a move swaps two values of e.
-Every move strictly decreases tension, so the closure is finite and
-always runs to the end.  ``oracle.closure_oracle`` is its slow reference.
+re-running the sequence after each cell attachment.  A state is a count
+table over (row, e = a - b) cells packed into one int, a field per cell,
+and a move, which swaps two values of e, changes four fields.  Every
+move strictly decreases tension, so the closure is finite and always
+runs to the end.  The time budget also covers building the cells.
+``oracle.closure_oracle`` is its slow reference.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from array import array
 from collections import deque
@@ -127,54 +130,53 @@ def candidate_outcomes(
     may name it.
     """
     # A state is a count table over the cells, the bidegrees a generator
-    # can reach (the start's, closed under the move rule), packed into
-    # bytes.  In coordinates e = a - b a move swaps e1 in row a with a
-    # smaller e2 in a higher row, so it is -1, -1, +1, +1 on four counts,
-    # and a state tries only the moves between its live cells.  One cell
-    # can gather up to len(module) generators, which sets the width.
+    # can reach (the start's, closed under the move rule), packed into an
+    # int, one fixed-width field per cell, cell 0 most significant.  In
+    # coordinates e = a - b a move swaps e1 in row a with a smaller e2 in a
+    # higher row, so it is -1, -1, +1, +1 on four fields' units, and a
+    # state tries only the moves between its live cells.  One cell can
+    # gather up to len(module) generators, which sets the width.
+    deadline = None
+    if budget.max_seconds is not None:
+        deadline = time.monotonic() + budget.max_seconds
     cells = set(module.gens)
     while True:
+        _check_deadline(deadline, budget)
         moves = [(src, tgt, *shift_result(src, tgt)) for src, tgt in _legal_moves(cells)]
         reached = {cell for move in moves for cell in move[2:]}
         if reached <= cells:
             break
         cells |= reached
     cells = sorted(cells)
-    index = {cell: i for i, cell in enumerate(cells)}
-    partners: list[list[tuple[int, int, int]]] = [[] for _ in cells]
-    for src, tgt, src_after, tgt_after in moves:
-        partners[index[src]].append((index[tgt], index[src_after], index[tgt_after]))
-    movers = [(i, swaps) for i, swaps in enumerate(partners) if swaps]
     typecode = next(t for t in "BHIQ" if len(module) < 1 << 8 * array(t).itemsize)
+    width = 8 * array(typecode).itemsize
+    mask = (1 << width) - 1
+    shifts = list(range(width * (len(cells) - 1), -1, -width))
+    units = [1 << shift for shift in shifts]
+    index = {cell: i for i, cell in enumerate(cells)}
+    partners: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
+    for src, tgt, src_after, tgt_after in moves:
+        j = index[tgt]
+        partners[index[src]].append(
+            (shifts[j], units[j], units[index[src_after]], units[index[tgt_after]])
+        )
+    movers = [(shifts[i], units[i], swaps) for i, swaps in enumerate(partners) if swaps]
 
-    table = array(typecode, [0]) * len(cells)
-    for gen in module.gens:
-        table[index[gen]] += 1
-    start = table.tobytes()
+    start = sum(units[index[gen]] for gen in module.gens)
     seen = {start}
     frontier = deque([start])
     max_modules = budget.max_modules
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
     while frontier:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                f"candidate enumeration exceeded {budget.max_seconds} seconds"
-            )
-        table = array(typecode, frontier.popleft())
-        for i, swaps in movers:
-            if not table[i]:
+        _check_deadline(deadline, budget)
+        state = frontier.popleft()
+        for shift, unit, swaps in movers:
+            if not state >> shift & mask:
                 continue
-            for j, i_after, j_after in swaps:
-                if not table[j]:
+            left = state - unit
+            for shift_j, unit_j, unit_i_after, unit_j_after in swaps:
+                if not state >> shift_j & mask:
                     continue
-                after = table[:]
-                after[i] -= 1
-                after[j] -= 1
-                after[i_after] += 1
-                after[j_after] += 1
-                child = after.tobytes()
+                child = left - unit_j + unit_i_after + unit_j_after
                 if child in seen:
                     continue
                 seen.add(child)
@@ -183,11 +185,25 @@ def candidate_outcomes(
                         f"candidate enumeration exceeded {max_modules} modules"
                     )
                 frontier.append(child)
-    # The cells are sorted, so each decode yields its generators in order.
-    return sorted(
-        FreeModule(chain.from_iterable(map(repeat, cells, array(typecode, state))))
-        for state in seen
-    )
+    # A module with more generators in the first differing cell is the
+    # smaller one, and its table the larger int, so descending states
+    # give the canonical order; the sorted cells keep each decode sorted.
+    nbytes = len(cells) * width // 8
+    swap = width > 8 and sys.byteorder == "little"
+    outcomes = []
+    for state in sorted(seen, reverse=True):
+        table = array(typecode, state.to_bytes(nbytes, "big"))
+        if swap:
+            table.byteswap()
+        outcomes.append(FreeModule(chain.from_iterable(map(repeat, cells, table))))
+    return outcomes
+
+
+def _check_deadline(deadline: float | None, budget: Budget) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceededError(
+            f"candidate enumeration exceeded {budget.max_seconds} seconds"
+        )
 
 
 def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from eqgrass.bipoly import BiPoly, parse_bipoly
 from eqgrass.modalg import Bidegree, FreeModule
 from eqgrass.oracle import closure_oracle
+from eqgrass import search
 from eqgrass.schubert import SignWord, e1_page, sign_words, unique_e1_pages
 from eqgrass.search import (
     Budget,
@@ -91,6 +93,15 @@ def test_candidates_cell_outgrows_start_cells():
     assert candidate_outcomes(page) == [page, moved]
 
 
+def test_candidates_order_with_two_byte_fields():
+    # 303 generators give 16-bit fields; 34 states over 16 cells exercise
+    # the decode of multi-byte fields and the order of the packed states.
+    page = FreeModule([(0, 1)] * 300 + [(1, 4), (2, 7), (3, 9)])
+    cands = candidate_outcomes(page)
+    assert len(cands) == 34
+    assert cands == closure_oracle(page)
+
+
 def test_candidates_include_start_and_respect_invariants():
     page = e1_page(2, SignWord.from_string("++--"))
     cands = candidate_outcomes(page)
@@ -154,6 +165,35 @@ def test_candidate_time_budget():
     page = unique_e1_pages(2, 8, 4)[0]
     with pytest.raises(BudgetExceededError):
         candidate_outcomes(page, budget=Budget(max_seconds=0.0))
+
+
+def test_time_budget_covers_cell_closure(monkeypatch):
+    calls = []
+    legal_moves = search._legal_moves
+
+    def counting(pairs):
+        calls.append(1)
+        return legal_moves(pairs)
+
+    monkeypatch.setattr(search, "_legal_moves", counting)
+    page = FreeModule([(a, 2 * a) for a in range(12)])
+    with pytest.raises(BudgetExceededError, match="exceeded 0.0 seconds"):
+        candidate_outcomes(page, budget=Budget(max_modules=None, max_seconds=0.0))
+    assert len(calls) <= 1
+
+
+def test_module_budget_memory_before_abort():
+    # The cells and their moves are built before the module cap is
+    # checked; this pins what that costs on a start whose cells grow.
+    page = FreeModule([(a, 2 * a) for a in range(20)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="exceeded 1000 modules"):
+            candidate_outcomes(page, budget=Budget(max_modules=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * (1 << 20)
 
 
 def test_reduce_pages_gr131():
