@@ -9,14 +9,14 @@ search exceeds the budget are reported as 'budget'.
 import argparse
 import time
 
-from eqgrass.search import Budget, solve
+from eqgrass.search import DEFAULT_MAX_MODULES, DEFAULT_MAX_WORDS, Budget, solve
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-p", type=int, default=9)
-    ap.add_argument("--max-modules", type=int, default=1_000_000)
-    ap.add_argument("--max-words", type=int, default=2_000)
+    ap.add_argument("--max-modules", type=int, default=DEFAULT_MAX_MODULES)
+    ap.add_argument("--max-words", type=int, default=DEFAULT_MAX_WORDS)
     args = ap.parse_args()
 
     budget = Budget(max_modules=args.max_modules, max_words=args.max_words)

@@ -25,7 +25,6 @@ from .search import (
     Budget,
     BudgetExceededError,
     SolveReport,
-    Strategy,
     candidate_outcomes,
     possible_differentials,
     reduce_pages,
@@ -55,7 +54,6 @@ __all__ = [
     "ShiftMove",
     "SignWord",
     "SolveReport",
-    "Strategy",
     "UniPoly",
     "candidate_outcomes",
     "cell_bidegree",

@@ -22,7 +22,7 @@ and can never wrap.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class PolynomialParseError(ValueError):
@@ -157,9 +157,6 @@ class BiPoly(_SparsePoly):
     def coefficient(self, i: int, j: int) -> int:
         return self._terms.get((i, j), 0)
 
-    def coefficients(self) -> Iterable[int]:
-        return self._terms.values()
-
     def is_nonnegative(self) -> bool:
         """True iff no stored coefficient is negative.
 
@@ -280,10 +277,6 @@ class UniPoly(_SparsePoly):
                     if clean[e] == 0:
                         del clean[e]
         object.__setattr__(self, "_terms", clean)
-
-    @classmethod
-    def monomial(cls, e: int, coeff: int = 1) -> "UniPoly":
-        return cls({e: coeff})
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):

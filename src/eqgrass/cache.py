@@ -28,7 +28,7 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "eqgrass"
 
 
-def cache_key(k: int, p: int, q: int, version: int = CACHE_VERSION) -> str:
+def cache_key(k: int, p: int, q: int) -> str:
     # The strategy fields keep the keys of entries written while the
     # strategy was selectable.
     payload = json.dumps(
@@ -38,7 +38,7 @@ def cache_key(k: int, p: int, q: int, version: int = CACHE_VERSION) -> str:
             "q": q,
             "strategy": "closure",
             "depth": None,
-            "version": version,
+            "version": CACHE_VERSION,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -50,9 +50,9 @@ def _entry_path(cache_dir: Path, key: str) -> Path:
     return cache_dir / f"{key}.json"
 
 
-def store(cache_dir: Path, report: SolveReport, version: int = CACHE_VERSION) -> Path:
+def store(cache_dir: Path, report: SolveReport) -> Path:
     cache_dir.mkdir(parents=True, exist_ok=True)
-    key = cache_key(report.k, report.p, report.q, version)
+    key = cache_key(report.k, report.p, report.q)
     path = _entry_path(cache_dir, key)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
@@ -66,19 +66,16 @@ def store(cache_dir: Path, report: SolveReport, version: int = CACHE_VERSION) ->
     return path
 
 
-def load(
-    cache_dir: Path,
-    k: int,
-    p: int,
-    q: int,
-    version: int = CACHE_VERSION,
-) -> SolveReport | None:
-    path = _entry_path(cache_dir, cache_key(k, p, q, version))
+def load(cache_dir: Path, k: int, p: int, q: int) -> SolveReport | None:
+    path = _entry_path(cache_dir, cache_key(k, p, q))
     if not path.exists():
         return None
     try:
         with open(path, "rb") as fh:
-            return SolveReport.from_json(json.loads(fh.read()))
+            report = SolveReport.from_json(json.loads(fh.read()))
+        if (report.k, report.p, report.q) != (k, p, q):
+            raise ValueError(f"entry holds (k={report.k}, p={report.p}, q={report.q})")
+        return report
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
         return None

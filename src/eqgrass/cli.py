@@ -19,6 +19,7 @@ from .modalg import FreeModule, module_from_poly, render_rank_table
 from .oracle import validate_page
 from .schubert import (
     SignWord,
+    check_parameters,
     e1_page,
     e1_quotient_page,
     normalize_parameters,
@@ -59,10 +60,10 @@ def _parse_poly(text: str, flag: str):
 
 
 def _check_kpq(k: int, p: int, q: int):
-    if not (1 <= k <= p - 1):
-        raise _CliError(f"k={k} out of range: need 1 <= k <= p-1 with p={p}")
-    if not (0 <= q <= p):
-        raise _CliError(f"q={q} out of range: need 0 <= q <= p with p={p}")
+    try:
+        check_parameters(k, p, q)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
 
 def _emit_module(module: FreeModule, fmt: str, out) -> None:
@@ -260,8 +261,7 @@ def _cmd_solve(args, out) -> int:
         if not args.no_cache and not report.incomplete:
             result_cache.store(cache_dir, report)
     if report.incomplete:
-        print(f"budget exceeded: {report.failure}", file=sys.stderr)
-        return EXIT_BUDGET
+        raise BudgetExceededError(report.failure)
     if args.format == "json":
         out.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
     else:

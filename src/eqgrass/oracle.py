@@ -117,27 +117,20 @@ class PageDiagnostics:
 
     underlying_ok: bool
     fixed_set_ok: bool
-    weight_ok: bool | None  # None when the weight check was skipped
+    weight_ok: bool
     messages: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return (
-            self.underlying_ok
-            and self.fixed_set_ok
-            and (self.weight_ok is None or self.weight_ok)
-        )
+        return self.underlying_ok and self.fixed_set_ok and self.weight_ok
 
 
-def validate_page(
-    module: FreeModule, k: int, p: int, q: int, check_weight: bool = True
-) -> PageDiagnostics:
+def validate_page(module: FreeModule, k: int, p: int, q: int) -> PageDiagnostics:
     """Check a first page or candidate answer against the classical
     invariants of Gr_k(R^{p,q}).
 
     Shifts preserve all three invariants, so candidate answers must pass
-    the same checks as first pages.  The weight check can be skipped
-    explicitly, but a module from this package never needs that.
+    the same checks as first pages.
     """
     messages = []
     poly = module.poincare()
@@ -151,13 +144,11 @@ def validate_page(
     fixed_ok = got_f == expected_f
     if not fixed_ok:
         messages.append(f"fixed set: expected {expected_f}, got {got_f}")
-    weight_ok: bool | None = None
-    if check_weight:
-        expected_w = total_weight_formula(k, p, q)
-        got_w = module.total_weight()
-        weight_ok = got_w == expected_w
-        if not weight_ok:
-            messages.append(f"total weight: expected {expected_w}, got {got_w}")
+    expected_w = total_weight_formula(k, p, q)
+    got_w = module.total_weight()
+    weight_ok = got_w == expected_w
+    if not weight_ok:
+        messages.append(f"total weight: expected {expected_w}, got {got_w}")
     return PageDiagnostics(underlying_ok, fixed_ok, weight_ok, messages)
 
 

@@ -30,6 +30,18 @@ from typing import Iterable, NamedTuple
 from .modalg import FreeModule
 
 
+class BudgetExceededError(RuntimeError):
+    """A search outgrew its configured budget and stopped cleanly."""
+
+
+def check_parameters(k: int, p: int, q: int) -> None:
+    """Reject (k, p, q) unless 1 <= k <= p-1 and 0 <= q <= p."""
+    if not (1 <= k <= p - 1):
+        raise ValueError(f"k={k} out of range: need 1 <= k <= p-1 with p={p}")
+    if not (0 <= q <= p):
+        raise ValueError(f"q={q} out of range: need 0 <= q <= p with p={p}")
+
+
 @dataclass(frozen=True)
 class SignWord:
     """An ordered sum of trivial (+) and sign (-) one-dimensional reps."""
@@ -157,8 +169,6 @@ def unique_e1_pages(
     space whose downstream search is out of reach anyway.  No word list
     is built: each word is visited as a mask.
     """
-    from .search import BudgetExceededError  # cycle-free at call time
-
     # Counted before any word is built; _sign_positions rejects a bad q.
     n_words = math.comb(p, q) if 0 <= q <= p else 0
     if max_words is not None and n_words > max_words:
@@ -189,10 +199,7 @@ def e1_quotient_page(k: int, word: SignWord, m: int) -> FreeModule:
 def total_weight_formula(k: int, p: int, q: int) -> int:
     """Total weight of any first page of Gr_k(R^{p,q}):
     (p-q) * q * C(p-2, k-1), independent of the sign word."""
-    if not (1 <= k <= p - 1):
-        raise ValueError(f"need 1 <= k <= p-1, got k={k}, p={p}")
-    if not (0 <= q <= p):
-        raise ValueError(f"need 0 <= q <= p, got q={q}, p={p}")
+    check_parameters(k, p, q)
     return (p - q) * q * math.comb(p - 2, k - 1)
 
 

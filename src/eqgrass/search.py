@@ -34,41 +34,20 @@ import sys
 import time
 from array import array
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 from .modalg import Bidegree, FreeModule, ShiftMove, shift_result
-from .schubert import unique_e1_pages
+from .schubert import BudgetExceededError, check_parameters, unique_e1_pages
 
 DEFAULT_MAX_MODULES = 1_000_000
 DEFAULT_MAX_WORDS = 2_000
 
-
-class BudgetExceededError(RuntimeError):
-    """A search outgrew its configured budget and stopped cleanly."""
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """The candidate-generation semantics: the full closure, the only one.
-
-    Reports record it as ``{"kind": "closure", "depth": null}`` and cache
-    keys hash the same two fields.  Any other kind and any depth bound
-    raise ``ValueError``.
-    """
-
-    kind: Literal["closure"] = "closure"
-    depth: None = None
-
-    def __post_init__(self):
-        if self.kind != "closure":
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.depth is not None:
-            raise ValueError("the closure takes no depth bound")
-
-
-DEFAULT_STRATEGY = Strategy()
+# The closure is the only candidate generation.  Reports record it as
+# {"kind": "closure", "depth": null}, which keeps their bytes unchanged.
+DEFAULT_STRATEGY = "closure"
+_STRATEGY_JSON = {"kind": DEFAULT_STRATEGY, "depth": None}
 
 
 @dataclass(frozen=True)
@@ -120,15 +99,17 @@ def possible_differentials(module: FreeModule) -> list[ShiftMove]:
 
 def candidate_outcomes(
     module: FreeModule,
-    strategy: Strategy = DEFAULT_STRATEGY,
+    strategy: str = DEFAULT_STRATEGY,
     budget: Budget = DEFAULT_BUDGET,
 ) -> list[FreeModule]:
     """Every module the starting page could converge to, the page itself
     included.  Deduplicated and canonically sorted.
 
-    ``strategy`` can only be the closure; it is accepted so that callers
-    may name it.
+    ``strategy`` can only be ``DEFAULT_STRATEGY``; any other value raises
+    ``ValueError``.
     """
+    if strategy != DEFAULT_STRATEGY:
+        raise ValueError(f"unknown strategy {strategy!r}")
     # A state is a count table over the cells, the bidegrees a generator
     # can reach (the start's, closed under the move rule), packed into an
     # int, one fixed-width field per cell, cell 0 most significant.  In
@@ -244,8 +225,6 @@ class SolveReport:
     p: int
     q: int
     pages: list[FreeModule] = field(default_factory=list)
-    tensions: list[int] = field(default_factory=list)
-    chosen: int = 0
     candidates: list[FreeModule] = field(default_factory=list)
     filter_page_indices: list[int] = field(default_factory=list)
     filter_log: list[tuple[int, list[int]]] = field(default_factory=list)
@@ -266,12 +245,14 @@ class SolveReport:
         return sorted(alive)
 
     def to_json(self) -> dict:
+        # "tensions" and "chosen" restate the pages and the closure's
+        # start, page 0; they stay so that the bytes and old entries do.
         return {
             "parameters": {"k": self.k, "p": self.p, "q": self.q},
-            "strategy": asdict(DEFAULT_STRATEGY),
+            "strategy": dict(_STRATEGY_JSON),
             "pages": [m.to_json() for m in self.pages],
-            "tensions": list(self.tensions),
-            "chosen": self.chosen,
+            "tensions": [m.tension() for m in self.pages],
+            "chosen": 0,
             "candidates": [m.to_json() for m in self.candidates],
             "filter_page_indices": list(self.filter_page_indices),
             "filter_log": [
@@ -285,15 +266,16 @@ class SolveReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "SolveReport":
+        """Parse a report; ``ValueError`` unless it is a closure's and
+        agrees with itself."""
         params = data["parameters"]
-        Strategy(**data["strategy"])  # raises unless the report is a closure's
-        return cls(
+        if data["strategy"] != _STRATEGY_JSON:
+            raise ValueError(f"not a closure report: strategy {data['strategy']!r}")
+        report = cls(
             k=params["k"],
             p=params["p"],
             q=params["q"],
             pages=[FreeModule.from_json(m) for m in data["pages"]],
-            tensions=list(data["tensions"]),
-            chosen=data["chosen"],
             candidates=[FreeModule.from_json(m) for m in data["candidates"]],
             filter_page_indices=list(data["filter_page_indices"]),
             filter_log=[
@@ -304,6 +286,23 @@ class SolveReport:
             incomplete=data["incomplete"],
             failure=data["failure"],
         )
+        if data["tensions"] != [m.tension() for m in report.pages]:
+            raise ValueError("tensions disagree with the pages")
+        if data["chosen"] != 0:
+            raise ValueError(f"chosen page {data['chosen']!r} is not page 0")
+        page_ids = range(len(report.pages))
+        candidate_ids = range(len(report.candidates))
+        filters = report.filter_page_indices + [i for i, _ in report.filter_log]
+        if not all(i in page_ids for i in filters):
+            raise ValueError("a filter page index is not a page index")
+        indices = report.survivor_indices + [
+            i for _, removed in report.filter_log for i in removed
+        ]
+        if not all(i in candidate_ids for i in indices):
+            raise ValueError("a survivor or removed index is not a candidate index")
+        if report.replay_filters() != report.survivor_indices:
+            raise ValueError("the filter log does not replay to the survivors")
+        return report
 
     def to_json_bytes(self) -> bytes:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
@@ -322,33 +321,22 @@ def solve(
     and ``jobs`` may only be 1.  Budget exhaustion produces a partial
     report with ``incomplete`` set instead of an exception.
     """
-    if not (1 <= k <= p - 1):
-        raise ValueError(f"need 1 <= k <= p-1, got k={k}, p={p}")
-    if not (0 <= q <= p):
-        raise ValueError(f"need 0 <= q <= p, got q={q}, p={p}")
+    check_parameters(k, p, q)
     if jobs != 1:
         raise ValueError(f"solve runs in one process, got jobs={jobs}")
     report = SolveReport(k=k, p=p, q=q)
     try:
-        pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
+        report.pages = pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
+        report.candidates = candidates = candidate_outcomes(pages[0], budget=budget)
     except BudgetExceededError as exc:
         report.incomplete = True
         report.failure = str(exc)
         return report
-    report.pages = pages
-    report.tensions = [m.tension() for m in pages]
-    report.chosen = 0
-    try:
-        candidates = candidate_outcomes(pages[0], budget=budget)
-    except BudgetExceededError as exc:
-        report.incomplete = True
-        report.failure = str(exc)
-        return report
-    report.candidates = candidates
 
     # Pages that can shift to any other page are redundant: the target
-    # page filters at least as hard.  The chosen page filters nothing
-    # (every candidate is reachable from it) so it is never used.
+    # page filters at least as hard.  Page 0, the closure's start,
+    # filters nothing (every candidate is reachable from it) so it is
+    # never used.
     # Filters run from the highest-tension page down; the order changes
     # only how removals split across the log, never the survivor set.
     position = {page: i for i, page in enumerate(pages)}

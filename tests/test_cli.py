@@ -233,10 +233,12 @@ def test_cache_roundtrip(tmp_path):
     assert loaded.survivors == report.survivors
 
 
-def test_cache_version_bump_misses(tmp_path):
+def test_cache_version_bump_misses(tmp_path, monkeypatch):
     report = solve(1, 3, 1)
-    result_cache.store(tmp_path, report, version=1)
-    assert result_cache.load(tmp_path, 1, 3, 1, version=2) is None
+    result_cache.store(tmp_path, report)
+    assert result_cache.load(tmp_path, 1, 3, 1) is not None
+    monkeypatch.setattr(result_cache, "CACHE_VERSION", result_cache.CACHE_VERSION + 1)
+    assert result_cache.load(tmp_path, 1, 3, 1) is None
 
 
 def test_cache_key_stable():
@@ -257,6 +259,35 @@ def test_cache_corrupt_entry_recomputed(tmp_path, capsys):
     assert code == EXIT_OK
     reloaded = result_cache.load(tmp_path, 1, 3, 1)
     assert reloaded is not None and not reloaded.incomplete
+
+
+@pytest.mark.parametrize(
+    "survivors",
+    [lambda n: [99], lambda n: list(range(n))],
+    ids=["out-of-range", "all-candidates"],
+)
+def test_cache_entry_disagreeing_with_itself_recomputed(tmp_path, capsys, survivors):
+    # A parseable entry whose survivors are not its log's replay.
+    path = result_cache.store(tmp_path, solve(3, 6, 2))
+    data = json.loads(path.read_text())
+    data["survivor_indices"] = survivors(len(data["candidates"]))
+    path.write_text(json.dumps(data))
+    code, text = invoke(["solve", "--k", "3", "--p", "6", "--q", "2",
+                         "--cache-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert text == (DATA / "gr3_6_2.txt").read_text()
+    assert "corrupt" in capsys.readouterr().err
+    assert result_cache.load(tmp_path, 3, 6, 2).to_json_bytes() == solve(3, 6, 2).to_json_bytes()
+
+
+def test_cache_entry_for_other_space_recomputed(tmp_path, capsys):
+    other = result_cache.store(tmp_path, solve(1, 4, 1))
+    other.rename(other.with_name(result_cache.cache_key(1, 3, 1) + ".json"))
+    code, text = invoke(["solve", "--k", "1", "--p", "3", "--q", "1",
+                         "--cache-dir", str(tmp_path), "--format", "poly"])
+    assert code == EXIT_OK
+    assert text == "x^2y + xy + 1\n"
+    assert "corrupt" in capsys.readouterr().err
 
 
 def test_cli_no_cache_writes_nothing(tmp_path, monkeypatch):

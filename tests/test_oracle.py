@@ -63,8 +63,7 @@ def test_validate_page_weight_skip():
     bad_weight = FreeModule([(0, 0), (1, 1), (2, 2), (2, 1), (3, 1), (4, 4)])
     full = validate_page(bad_weight, 2, 4, 2)
     assert full.weight_ok is False
-    skipped = validate_page(bad_weight, 2, 4, 2, check_weight=False)
-    assert skipped.weight_ok is None
+    assert not full.ok
 
 
 def test_validate_known_table():

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from eqgrass.bipoly import parse_bipoly
 from eqgrass.modalg import FreeModule
 from eqgrass.schubert import (
+    BudgetExceededError,
     SchubertCell,
     SignWord,
     cell_bidegree,
+    check_parameters,
     e1_page,
     e1_quotient_page,
     enumerate_cells,
@@ -18,7 +20,7 @@ from eqgrass.schubert import (
     total_weight_formula,
     unique_e1_pages,
 )
-from eqgrass.search import BudgetExceededError
+from eqgrass import search
 
 
 def W(text):
@@ -212,6 +214,21 @@ def test_total_weight_formula_values():
         total_weight_formula(0, 3, 1)
     with pytest.raises(ValueError):
         total_weight_formula(1, 3, 4)
+
+
+def test_check_parameters_wording():
+    check_parameters(1, 2, 0)
+    check_parameters(1, 2, 2)
+    with pytest.raises(ValueError) as k_info:
+        check_parameters(4, 3, 1)
+    assert str(k_info.value) == "k=4 out of range: need 1 <= k <= p-1 with p=3"
+    with pytest.raises(ValueError) as q_info:
+        check_parameters(1, 3, -1)
+    assert str(q_info.value) == "q=-1 out of range: need 0 <= q <= p with p=3"
+
+
+def test_budget_error_has_one_home():
+    assert search.BudgetExceededError is BudgetExceededError
 
 
 def test_total_weight_independent_of_word_small():

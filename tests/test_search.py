@@ -15,7 +15,6 @@ from eqgrass.search import (
     Budget,
     BudgetExceededError,
     SolveReport,
-    Strategy,
     candidate_outcomes,
     possible_differentials,
     reduce_pages,
@@ -155,6 +154,13 @@ def test_candidates_fully_relaxed_page():
     assert candidate_outcomes(RP2_H) == [RP2_H]
 
 
+@pytest.mark.parametrize("strategy", ["matchings", 12345, None])
+def test_candidate_outcomes_rejects_other_strategies(strategy):
+    with pytest.raises(ValueError, match="unknown strategy"):
+        candidate_outcomes(RP2_E1, strategy)
+    assert candidate_outcomes(RP2_E1, search.DEFAULT_STRATEGY) == candidate_outcomes(RP2_E1)
+
+
 def test_candidate_budget_abort():
     page = unique_e1_pages(3, 6, 3)[0]
     with pytest.raises(BudgetExceededError):
@@ -283,7 +289,7 @@ def test_solve_validates_parameters():
         solve(1, 3, 1, jobs=2)
 
 
-def test_solve_is_deterministic_and_job_independent():
+def test_solve_is_deterministic():
     a = solve(3, 6, 3).to_json_bytes()
     b = solve(3, 6, 3).to_json_bytes()
     assert a == b
@@ -295,9 +301,32 @@ def test_report_json_roundtrip():
     again = SolveReport.from_json(data)
     assert again.to_json_bytes() == report.to_json_bytes()
     assert again.survivors == report.survivors
-    data["strategy"]["kind"] = "matchings"
+    for strategy in ({"kind": "matchings", "depth": None},
+                     {"kind": "closure", "depth": 2},
+                     {"kind": "closure"}):
+        with pytest.raises(ValueError):
+            SolveReport.from_json({**data, "strategy": strategy})
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"tensions": [0]},
+        {"chosen": 1},
+        {"survivor_indices": [99]},
+        {"survivor_indices": list(range(24))},
+        {"filter_page_indices": [1, 6]},
+        {"filter_log": [{"page": 6, "removed": [0]}]},
+        {"filter_log": [{"page": 1, "removed": [24]}]},
+    ],
+    ids=["tensions", "chosen", "survivor-not-candidate", "survivors-not-replay",
+         "filter-not-page", "log-page-not-page", "removed-not-candidate"],
+)
+def test_report_from_json_rejects_disagreement(edit):
+    data = json.loads(solve(3, 6, 3).to_json_bytes())
+    assert len(data["pages"]) == 6 and len(data["candidates"]) == 24
     with pytest.raises(ValueError):
-        SolveReport.from_json(data)
+        SolveReport.from_json({**data, **edit})
 
 
 def test_report_replay_matches_survivors():
@@ -343,14 +372,3 @@ def test_subspace_filter_discards_unreachable():
     q = FreeModule([(3, 3)])
     tighter = FreeModule([(0, 0), (1, 1), (2, 1), (3, 4)])
     assert subspace_filter([tighter], h, q) == []
-
-
-def test_strategy_validation():
-    with pytest.raises(ValueError):
-        Strategy("breadth")
-    with pytest.raises(ValueError):
-        Strategy("matchings")
-    with pytest.raises(ValueError):
-        Strategy("closure", depth=-1)
-    with pytest.raises(ValueError):
-        Strategy(depth=2)
