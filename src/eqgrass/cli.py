@@ -13,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import cache as result_cache
 from .bipoly import PolynomialParseError, parse_bipoly
 from .modalg import FreeModule, module_from_poly, render_rank_table
 from .oracle import validate_page
@@ -153,14 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kpq(p_solve)
     _add_budget(p_solve)
     _add_format(p_solve)
-    p_solve.add_argument("--no-cache", action="store_true", help="skip the result cache")
-    p_solve.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help=f"cache directory (default ${result_cache.CACHE_ENV_VAR} "
-        f"or {result_cache.default_cache_dir()})",
-    )
     p_solve.add_argument(
         "--normalize",
         action="store_true",
@@ -251,15 +242,7 @@ def _cmd_solve(args, out) -> int:
             print(f"normalized (k={k}, p={p}, q={q}) to (k={nk}, p={np_}, q={nq})",
                   file=sys.stderr)
         k, p, q = nk, np_, nq
-    budget = _budget_from(args)
-    cache_dir = args.cache_dir or result_cache.default_cache_dir()
-    report = None
-    if not args.no_cache:
-        report = result_cache.load(cache_dir, k, p, q)
-    if report is None:
-        report = solve(k, p, q, budget=budget)
-        if not args.no_cache and not report.incomplete:
-            result_cache.store(cache_dir, report)
+    report = solve(k, p, q, budget=_budget_from(args))
     if report.incomplete:
         raise BudgetExceededError(report.failure)
     if args.format == "json":

@@ -31,7 +31,8 @@ class ShiftMove(NamedTuple):
     """A single shift: src goes up in weight by s, tgt comes down by s.
 
     The magnitude is determined by the bidegrees: with src = (a, b) and
-    tgt = (c, d), n = c - a and s = d - b - n, and both must be >= 1.
+    tgt = (c, d), n = c - a and s = d - b - n; ``is_legal_shift`` is the
+    rule they must meet.
     """
 
     src: Bidegree
@@ -45,8 +46,27 @@ class ShiftMove(NamedTuple):
     def s(self) -> int:
         return (self.tgt[1] - self.src[1]) - self.n
 
-    def is_legal(self) -> bool:
-        return self.n >= 1 and self.s >= 1
+
+def is_legal_shift(src: tuple[int, int], tgt: tuple[int, int]) -> bool:
+    """The move rule: src = (a, b) and tgt = (c, d) admit a shift when
+    n = c - a >= 1 and s = (d - b) - n >= 1.  Equivalently the supporting
+    element of the target summand in the bidegree just above src lies in
+    the negative cone of the point cohomology."""
+    n = tgt[0] - src[0]
+    return n >= 1 and (tgt[1] - src[1]) - n >= 1
+
+
+def legal_moves(pairs: Iterable[tuple[int, int]]) -> list[tuple]:
+    """Every (src, tgt) among the distinct bidegrees of ``pairs`` that
+    ``is_legal_shift`` admits, sorted by src, then tgt.  A legal tgt has
+    a larger degree, so only the bidegrees sorted after src are tried."""
+    distinct = sorted(set(pairs))
+    return [
+        (src, tgt)
+        for i, src in enumerate(distinct)
+        for tgt in distinct[i + 1:]
+        if is_legal_shift(src, tgt)
+    ]
 
 
 def shift_result(src: tuple[int, int], tgt: tuple[int, int]) -> tuple[tuple, tuple]:
@@ -159,7 +179,7 @@ class FreeModule:
             raise ValueError(f"module has no generator at {src}")
         if tgt not in self._gens or (src == tgt and self._gens.count(src) < 2):
             raise ValueError(f"module has no generator at {tgt}")
-        if not move.is_legal():
+        if not is_legal_shift(src, tgt):
             raise ValueError(f"illegal shift {src} -> {tgt}: need n >= 1 and s >= 1")
         gens = list(self._gens)
         gens.remove(src)

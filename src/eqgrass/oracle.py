@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .bipoly import UniPoly
-from .modalg import FreeModule, shift_result
+from .modalg import FreeModule, legal_moves, shift_result
 from .schubert import (
     e1_page,
     enumerate_cells,
@@ -23,7 +23,7 @@ from .schubert import (
     total_weight_formula,
     unique_e1_pages,
 )
-from .search import Budget, BudgetExceededError, DEFAULT_BUDGET, _legal_moves
+from .search import Budget, BudgetExceededError, DEFAULT_BUDGET
 
 
 def gaussian_binomial(p: int, k: int) -> UniPoly:
@@ -75,7 +75,7 @@ def closure_oracle(
                 f"candidate enumeration exceeded {max_seconds} seconds"
             )
         gens = frontier.popleft()
-        for src, tgt in _legal_moves(gens):
+        for src, tgt in legal_moves(gens):
             after = list(gens)
             after.remove(src)
             after.remove(tgt)

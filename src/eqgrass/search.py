@@ -10,10 +10,11 @@ of the same space must reach the true answer as well.  The solver:
      implied), and
   d. strikes every candidate some remaining page cannot relax to.
 
-Each rule is written once.  ``_legal_moves`` is the move rule, which
-``possible_differentials`` and the candidate enumeration list moves with,
-and ``modalg.shift_result`` is the result of a move.  ``reduce_pages`` is
-the page reduction of step c, and ``FreeModule.can_relax_to`` is the one
+Each rule is written once.  ``modalg.is_legal_shift`` is the move rule,
+``modalg.legal_moves`` lists the moves it admits for
+``possible_differentials`` and the candidate enumeration, and
+``modalg.shift_result`` is the result of a move.  ``reduce_pages`` is the
+page reduction of step c, and ``FreeModule.can_relax_to`` is the one
 relaxation check behind steps c and d.
 
 Step b is the closure: it replays single shifts breadth-first,
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from .modalg import Bidegree, FreeModule, ShiftMove, shift_result
+from .modalg import Bidegree, FreeModule, ShiftMove, legal_moves, shift_result
 from .schubert import BudgetExceededError, check_parameters, unique_e1_pages
 
 DEFAULT_MAX_MODULES = 1_000_000
@@ -69,22 +70,6 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def _legal_moves(pairs: Iterable[tuple[int, int]]) -> list[tuple]:
-    """The move rule: every (src, tgt) among the distinct bidegrees with
-    src = (a, b), tgt = (c, d), c - a >= 1 and (d - b) - (c - a) >= 1.
-    Equivalently the supporting element of the target summand in the
-    bidegree just above src lies in the negative cone of the point
-    cohomology.  Sorted by src, then tgt."""
-    distinct = sorted(set(pairs))
-    moves = []
-    for a, b in distinct:
-        for c, d in distinct:
-            n = c - a
-            if n >= 1 and (d - b) - n >= 1:
-                moves.append(((a, b), (c, d)))
-    return moves
-
-
 def possible_differentials(module: FreeModule) -> list[ShiftMove]:
     """All bidegree-level differentials the module could support.
 
@@ -93,7 +78,7 @@ def possible_differentials(module: FreeModule) -> list[ShiftMove]:
     """
     return [
         ShiftMove(Bidegree(*src), Bidegree(*tgt))
-        for src, tgt in _legal_moves(module.gens)
+        for src, tgt in legal_moves(module.gens)
     ]
 
 
@@ -123,7 +108,7 @@ def candidate_outcomes(
     cells = set(module.gens)
     while True:
         _check_deadline(deadline, budget)
-        moves = [(src, tgt, *shift_result(src, tgt)) for src, tgt in _legal_moves(cells)]
+        moves = [(src, tgt, *shift_result(src, tgt)) for src, tgt in legal_moves(cells)]
         reached = {cell for move in moves for cell in move[2:]}
         if reached <= cells:
             break
@@ -229,8 +214,12 @@ class SolveReport:
     filter_page_indices: list[int] = field(default_factory=list)
     filter_log: list[tuple[int, list[int]]] = field(default_factory=list)
     survivor_indices: list[int] = field(default_factory=list)
-    incomplete: bool = False
     failure: str | None = None
+
+    @property
+    def incomplete(self) -> bool:
+        """True when a budget cut the run short; ``failure`` says which."""
+        return self.failure is not None
 
     @property
     def survivors(self) -> list[FreeModule]:
@@ -245,8 +234,9 @@ class SolveReport:
         return sorted(alive)
 
     def to_json(self) -> dict:
-        # "tensions" and "chosen" restate the pages and the closure's
-        # start, page 0; they stay so that the bytes and old entries do.
+        # "strategy", "tensions" and "chosen" restate constants, the pages
+        # and the closure's start, page 0; they stay so that the bytes of
+        # `solve --format json` do.
         return {
             "parameters": {"k": self.k, "p": self.p, "q": self.q},
             "strategy": dict(_STRATEGY_JSON),
@@ -264,46 +254,6 @@ class SolveReport:
             "failure": self.failure,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SolveReport":
-        """Parse a report; ``ValueError`` unless it is a closure's and
-        agrees with itself."""
-        params = data["parameters"]
-        if data["strategy"] != _STRATEGY_JSON:
-            raise ValueError(f"not a closure report: strategy {data['strategy']!r}")
-        report = cls(
-            k=params["k"],
-            p=params["p"],
-            q=params["q"],
-            pages=[FreeModule.from_json(m) for m in data["pages"]],
-            candidates=[FreeModule.from_json(m) for m in data["candidates"]],
-            filter_page_indices=list(data["filter_page_indices"]),
-            filter_log=[
-                (entry["page"], list(entry["removed"]))
-                for entry in data["filter_log"]
-            ],
-            survivor_indices=list(data["survivor_indices"]),
-            incomplete=data["incomplete"],
-            failure=data["failure"],
-        )
-        if data["tensions"] != [m.tension() for m in report.pages]:
-            raise ValueError("tensions disagree with the pages")
-        if data["chosen"] != 0:
-            raise ValueError(f"chosen page {data['chosen']!r} is not page 0")
-        page_ids = range(len(report.pages))
-        candidate_ids = range(len(report.candidates))
-        filters = report.filter_page_indices + [i for i, _ in report.filter_log]
-        if not all(i in page_ids for i in filters):
-            raise ValueError("a filter page index is not a page index")
-        indices = report.survivor_indices + [
-            i for _, removed in report.filter_log for i in removed
-        ]
-        if not all(i in candidate_ids for i in indices):
-            raise ValueError("a survivor or removed index is not a candidate index")
-        if report.replay_filters() != report.survivor_indices:
-            raise ValueError("the filter log does not replay to the survivors")
-        return report
-
     def to_json_bytes(self) -> bytes:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
@@ -319,7 +269,7 @@ def solve(
 
     Deterministic for fixed arguments.  The search runs in this process,
     and ``jobs`` may only be 1.  Budget exhaustion produces a partial
-    report with ``incomplete`` set instead of an exception.
+    report whose ``failure`` names the cap instead of an exception.
     """
     check_parameters(k, p, q)
     if jobs != 1:
@@ -329,7 +279,6 @@ def solve(
         report.pages = pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
         report.candidates = candidates = candidate_outcomes(pages[0], budget=budget)
     except BudgetExceededError as exc:
-        report.incomplete = True
         report.failure = str(exc)
         return report
 

@@ -4,9 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from eqgrass import cache as result_cache
 from eqgrass.cli import EXIT_AMBIGUOUS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, run
-from eqgrass.search import SolveReport, solve
 
 DATA = Path(__file__).parent / "data"
 
@@ -75,13 +73,14 @@ def test_unknown_subcommand_exit_2(capsys):
         ["solve", "--strategy", "matchings"],
         ["solve", "--depth", "2"],
         ["solve", "--jobs", "2"],
+        ["solve", "--no-cache"],
+        ["solve", "--cache-dir", "X"],
         ["candidates", "--strategy", "matchings"],
         ["candidates", "--depth", "2"],
     ],
     ids=" ".join,
 )
-def test_unknown_option_exit_2(argv, tmp_path, monkeypatch):
-    monkeypatch.setenv(result_cache.CACHE_ENV_VAR, str(tmp_path))
+def test_unknown_option_exit_2(argv):
     code, _ = invoke([*argv, "--k", "1", "--p", "3", "--q", "1"])
     assert code == EXIT_USAGE
 
@@ -154,7 +153,7 @@ def test_validate_malformed_module_json_exit_2(module, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["solve", "--max-modules", "-1", "--no-cache"],
+        ["solve", "--max-modules", "-1"],
         ["pages", "--max-words", "-1"],
         ["candidates", "--max-seconds", "-0.5"],
     ],
@@ -166,36 +165,32 @@ def test_negative_budget_exit_2(argv, capsys):
     assert "must be nonnegative" in capsys.readouterr().err
 
 
-def test_solve_table_matches_golden(tmp_path):
+def test_solve_table_matches_golden():
     code, text = invoke(
-        ["solve", "--k", "3", "--p", "6", "--q", "2", "--format", "table",
-         "--cache-dir", str(tmp_path)]
+        ["solve", "--k", "3", "--p", "6", "--q", "2", "--format", "table"]
     )
     assert code == EXIT_OK
     golden = (DATA / "gr3_6_2.txt").read_text()
     assert text == golden
 
 
-def test_solve_deterministic_bytes(tmp_path):
-    args = ["solve", "--k", "2", "--p", "6", "--q", "3", "--format", "json",
-            "--no-cache"]
+def test_solve_deterministic_bytes():
+    args = ["solve", "--k", "2", "--p", "6", "--q", "3", "--format", "json"]
     assert invoke(args) == invoke(args)
 
 
-def test_solve_ambiguous_exit_1(tmp_path):
+def test_solve_ambiguous_exit_1():
     code, text = invoke(
-        ["solve", "--k", "3", "--p", "6", "--q", "3", "--cache-dir", str(tmp_path),
-         "--format", "poly"]
+        ["solve", "--k", "3", "--p", "6", "--q", "3", "--format", "poly"]
     )
     assert code == EXIT_AMBIGUOUS
     assert text.startswith("# 6 surviving candidates\n")
     assert text.count("# candidate") == 6
 
 
-def test_solve_budget_exit_3(tmp_path, capsys):
+def test_solve_budget_exit_3(capsys):
     code, _ = invoke(
-        ["solve", "--k", "3", "--p", "6", "--q", "3", "--max-modules", "3",
-         "--cache-dir", str(tmp_path)]
+        ["solve", "--k", "3", "--p", "6", "--q", "3", "--max-modules", "3"]
     )
     assert code == EXIT_BUDGET
     assert "budget exceeded" in capsys.readouterr().err
@@ -209,106 +204,25 @@ def test_pages_word_budget_exit_3(tmp_path, capsys):
     assert "3432" in capsys.readouterr().err
 
 
-def test_solve_normalize_flag(tmp_path, capsys):
+def test_solve_normalize_flag(capsys):
     code, text = invoke(
         ["solve", "--k", "3", "--p", "4", "--q", "3", "--normalize",
-         "--cache-dir", str(tmp_path), "--format", "poly"]
+         "--format", "poly"]
     )
     assert code == EXIT_OK
     assert "normalized" in capsys.readouterr().err
-    base = invoke(["solve", "--k", "1", "--p", "4", "--q", "1", "--no-cache",
+    base = invoke(["solve", "--k", "1", "--p", "4", "--q", "1",
                    "--format", "poly"])[1]
     assert text == base
 
 
-# -- cache behaviour ------------------------------------------------------
-
-
-def test_cache_roundtrip(tmp_path):
-    report = solve(3, 6, 3)
-    result_cache.store(tmp_path, report)
-    loaded = result_cache.load(tmp_path, 3, 6, 3)
-    assert loaded is not None
-    assert loaded.to_json_bytes() == report.to_json_bytes()
-    assert loaded.survivors == report.survivors
-
-
-def test_cache_version_bump_misses(tmp_path, monkeypatch):
-    report = solve(1, 3, 1)
-    result_cache.store(tmp_path, report)
-    assert result_cache.load(tmp_path, 1, 3, 1) is not None
-    monkeypatch.setattr(result_cache, "CACHE_VERSION", result_cache.CACHE_VERSION + 1)
-    assert result_cache.load(tmp_path, 1, 3, 1) is None
-
-
-def test_cache_key_stable():
-    # the key a closure entry had while the strategy was selectable
-    assert result_cache.cache_key(3, 6, 3) == (
-        "0f6e421f0e5a11e573dd7286bfd4d456ccd0fbe50e570ead5468da852e1011cf"
-    )
-
-
-def test_cache_corrupt_entry_recomputed(tmp_path, capsys):
-    report = solve(1, 3, 1)
-    path = result_cache.store(tmp_path, report)
-    path.write_text("{broken json")
-    assert result_cache.load(tmp_path, 1, 3, 1) is None
-    assert "corrupt" in capsys.readouterr().err
-    code, _ = invoke(["solve", "--k", "1", "--p", "3", "--q", "1",
-                      "--cache-dir", str(tmp_path)])
-    assert code == EXIT_OK
-    reloaded = result_cache.load(tmp_path, 1, 3, 1)
-    assert reloaded is not None and not reloaded.incomplete
-
-
-@pytest.mark.parametrize(
-    "survivors",
-    [lambda n: [99], lambda n: list(range(n))],
-    ids=["out-of-range", "all-candidates"],
-)
-def test_cache_entry_disagreeing_with_itself_recomputed(tmp_path, capsys, survivors):
-    # A parseable entry whose survivors are not its log's replay.
-    path = result_cache.store(tmp_path, solve(3, 6, 2))
-    data = json.loads(path.read_text())
-    data["survivor_indices"] = survivors(len(data["candidates"]))
-    path.write_text(json.dumps(data))
-    code, text = invoke(["solve", "--k", "3", "--p", "6", "--q", "2",
-                         "--cache-dir", str(tmp_path)])
+def test_solve_writes_no_files(tmp_path, monkeypatch):
+    home, env_dir = tmp_path / "home", tmp_path / "env"
+    home.mkdir()
+    env_dir.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("EQGRASS_CACHE_DIR", str(env_dir))
+    code, text = invoke(["solve", "--k", "3", "--p", "6", "--q", "2"])
     assert code == EXIT_OK
     assert text == (DATA / "gr3_6_2.txt").read_text()
-    assert "corrupt" in capsys.readouterr().err
-    assert result_cache.load(tmp_path, 3, 6, 2).to_json_bytes() == solve(3, 6, 2).to_json_bytes()
-
-
-def test_cache_entry_for_other_space_recomputed(tmp_path, capsys):
-    other = result_cache.store(tmp_path, solve(1, 4, 1))
-    other.rename(other.with_name(result_cache.cache_key(1, 3, 1) + ".json"))
-    code, text = invoke(["solve", "--k", "1", "--p", "3", "--q", "1",
-                         "--cache-dir", str(tmp_path), "--format", "poly"])
-    assert code == EXIT_OK
-    assert text == "x^2y + xy + 1\n"
-    assert "corrupt" in capsys.readouterr().err
-
-
-def test_cli_no_cache_writes_nothing(tmp_path, monkeypatch):
-    monkeypatch.setenv(result_cache.CACHE_ENV_VAR, str(tmp_path / "cachedir"))
-    code, _ = invoke(["solve", "--k", "1", "--p", "3", "--q", "1", "--no-cache"])
-    assert code == EXIT_OK
-    assert not (tmp_path / "cachedir").exists()
-
-
-def test_cli_cache_hit_identical_output(tmp_path):
-    args = ["solve", "--k", "2", "--p", "5", "--q", "2", "--format", "json",
-            "--cache-dir", str(tmp_path)]
-    first = invoke(args)
-    assert len(list(tmp_path.glob("*.json"))) == 1
-    second = invoke(args)
-    assert first == second
-
-
-def test_cache_env_var_default(tmp_path, monkeypatch):
-    monkeypatch.setenv(result_cache.CACHE_ENV_VAR, str(tmp_path / "envcache"))
-    assert result_cache.default_cache_dir() == tmp_path / "envcache"
-    code, _ = invoke(["solve", "--k", "1", "--p", "3", "--q", "1"])
-    assert code == EXIT_OK
-    assert list((tmp_path / "envcache").glob("*.json"))
+    assert list(home.iterdir()) == [] and list(env_dir.iterdir()) == []
