@@ -8,7 +8,7 @@ from .bipoly import (
     kronholm_poly,
     parse_bipoly,
 )
-from .modalg import Bidegree, FreeModule, ShiftMove, module_from_poly, render_rank_table
+from .modalg import FreeModule, ShiftMove, module_from_poly, render_rank_table
 from .schubert import (
     SchubertCell,
     SignWord,
@@ -43,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly",
-    "Bidegree",
     "Budget",
     "BudgetExceededError",
     "FreeModule",

@@ -15,8 +15,11 @@ and to exact division by the fundamental shift polynomial
 
     K_{1,1} = (1 - xy)(y - 1).
 
-Coefficients are plain Python integers, so arithmetic is exact at any size
-and can never wrap.
+Every shift polynomial is a multiple of K_{1,1}, and one polynomial is a
+Groebner basis of the ideal it generates, so that division is ordinary
+long division in the graded-lex order of ``terms()``.  Coefficients are
+plain Python integers, so arithmetic is exact at any size and can never
+wrap.
 """
 
 from __future__ import annotations
@@ -125,9 +128,7 @@ class BiPoly(_SparsePoly):
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in term x^{i}y^{j}")
                 if c:
-                    clean[(i, j)] = clean.get((i, j), 0) + c
-                    if clean[(i, j)] == 0:
-                        del clean[(i, j)]
+                    clean[(i, j)] = c
         object.__setattr__(self, "_terms", clean)
 
     # -- constructors -------------------------------------------------
@@ -191,62 +192,27 @@ class BiPoly(_SparsePoly):
     def divide_by_k11(self) -> "BiPoly | None":
         """Exact quotient self / K_{1,1}, or None when not divisible.
 
-        Membership test: self lies in (K_{1,1}) = ker(underlying) cap
-        ker(fixed_points).  The quotient is then computed by two exact
-        univariate-style passes, dividing by (y - 1) with x scalar and
-        then by (1 - xy) along increasing y-degree, and verified by
-        re-multiplication.
+        Long division: K_{1,1} leads with -xy^2, a unit times a monomial,
+        so each step cancels the leading term of what remains in Z[x,y]
+        and adds only lower terms.  A leading term that xy^2 does not
+        divide can never cancel, so self is then no multiple of K_{1,1}.
         """
-        if self.is_zero():
-            return BiPoly.zero()
-        if not self.underlying().is_zero():
-            return None
-        if not self.fixed_points().is_zero():
-            return None
-        # Pass 1: divide by (y - 1).  Collect coefficients of y^j as
-        # dicts x-exponent -> coefficient and run synthetic division from
-        # the top y-degree down: if f = sum f_j y^j and f = (y-1) g with
-        # g = sum g_j y^j then g_{j-1} = f_j + g_j.
-        by_y: dict[int, dict[int, int]] = {}
-        for (i, j), c in self._terms.items():
-            by_y.setdefault(j, {})[i] = c
-        top = max(by_y)
-        g_by_y: dict[int, dict[int, int]] = {}
-        carry: dict[int, int] = {}
-        for j in range(top, 0, -1):
-            row = dict(carry)
-            for i, c in by_y.get(j, {}).items():
-                new = row.get(i, 0) + c
-                if new:
-                    row[i] = new
-                elif i in row:
-                    del row[i]
-            if row:
-                g_by_y[j - 1] = row
-            carry = row
-        # Pass 2: divide g by (1 - xy) along increasing y-degree:
-        # q_j = g_j + x * q_{j-1}.
-        q_by_y: dict[int, dict[int, int]] = {}
-        prev: dict[int, int] = {}
-        gtop = max(g_by_y) if g_by_y else 0
-        for j in range(0, gtop + 1):
-            row: dict[int, int] = {i + 1: c for i, c in prev.items()}
-            for i, c in g_by_y.get(j, {}).items():
-                new = row.get(i, 0) + c
-                if new:
-                    row[i] = new
-                elif i in row:
-                    del row[i]
-            if row:
-                q_by_y[j] = row
-            prev = row
-        terms = {(i, j): c for j, rows in q_by_y.items() for i, c in rows.items()}
-        if any(i < 0 or j < 0 for (i, j) in terms):
-            return None
-        quotient = BiPoly(terms)
-        if quotient * K11 != self:
-            return None
-        return quotient
+        rest = dict(self._terms)
+        quotient: dict[tuple[int, int], int] = {}
+        while rest:
+            i, j = max(rest, key=_graded_lex_key)
+            if i < 1 or j < 2:
+                return None
+            c = rest.pop((i, j))
+            quotient[(i - 1, j - 2)] = -c
+            # rest -= -c x^(i-1) y^(j-2) K_{1,1}, past its leading term.
+            for e, d in (((i, j - 1), c), ((i - 1, j - 1), c), ((i - 1, j - 2), -c)):
+                d += rest.get(e, 0)
+                if d:
+                    rest[e] = d
+                else:
+                    del rest[e]
+        return BiPoly(quotient)
 
     @staticmethod
     def _monomial(e: tuple[int, int]) -> str:
@@ -269,13 +235,7 @@ class UniPoly(_SparsePoly):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        clean: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[e] = clean.get(e, 0) + c
-                    if clean[e] == 0:
-                        del clean[e]
+        clean = {e: c for e, c in (terms or {}).items() if c}
         object.__setattr__(self, "_terms", clean)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":

@@ -289,20 +289,22 @@ def _cmd_validate(args, out) -> int:
             )
         module = e1_page(args.k, word)
     else:
-        raw = sys.stdin.read() if args.module == "-" else None
-        if raw is None:
-            path = Path(args.module)
-            if path.exists():
-                raw = path.read_text()
-            else:
-                raw = args.module
-        raw = raw.strip()
+        path = Path(args.module)
         try:
+            named = args.module != "-" and path.exists()
+        except OSError:  # e.g. longer than a file name may be
+            named = False
+        try:
+            if args.module == "-":
+                raw = sys.stdin.read()
+            else:
+                raw = path.read_text(encoding="utf-8") if named else args.module
+            raw = raw.strip()
             if raw.startswith("{"):
                 module = FreeModule.from_json(json.loads(raw))
             else:
                 module = module_from_poly(parse_bipoly(raw))
-        except (ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError) as exc:
             raise _CliError(f"bad module: {exc}") from exc
     diag = validate_page(module, args.k, args.p, args.q)
     for name, flag in [

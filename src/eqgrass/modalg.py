@@ -2,10 +2,10 @@
 
 A free module here is nothing but a finite multiset of bidegrees (a, b):
 one entry per free summand shifted into that bidegree, held as a plain
-``(a, b)`` int pair; ``Bidegree`` only names the two ends of a
-``ShiftMove``.  The bigraded Poincare polynomial of the multiset is a
-complete invariant.  B can be reached from A by shifts exactly when the
-shift story (P_B - P_A) / K_{1,1} exists and is nonnegative.  Writing
+``(a, b)`` int pair, which is also how a ``ShiftMove`` names its two
+ends.  The bigraded Poincare polynomial of the multiset is a complete
+invariant.  B can be reached from A by shifts exactly when the shift
+story (P_B - P_A) / K_{1,1} exists and is nonnegative.  Writing
 e = a - b, the story's coefficient at x^i y^j is #B - #A over the corner
 {a <= i, e < i - j}, so ``FreeModule.can_relax_to`` decides relaxation by
 counting generators in corners, with no polynomial arithmetic; the
@@ -20,13 +20,6 @@ from typing import Iterable, NamedTuple
 from .bipoly import BiPoly
 
 
-class Bidegree(NamedTuple):
-    """One end of a ``ShiftMove``; generators are plain (a, b) pairs."""
-
-    a: int  # topological degree
-    b: int  # weight
-
-
 class ShiftMove(NamedTuple):
     """A single shift: src goes up in weight by s, tgt comes down by s.
 
@@ -35,8 +28,8 @@ class ShiftMove(NamedTuple):
     rule they must meet.
     """
 
-    src: Bidegree
-    tgt: Bidegree
+    src: tuple[int, int]
+    tgt: tuple[int, int]
 
     @property
     def n(self) -> int:

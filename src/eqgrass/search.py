@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from .modalg import Bidegree, FreeModule, ShiftMove, legal_moves, shift_result
+from .modalg import FreeModule, ShiftMove, legal_moves, shift_result
 from .schubert import BudgetExceededError, check_parameters, unique_e1_pages
 
 DEFAULT_MAX_MODULES = 1_000_000
@@ -76,10 +76,7 @@ def possible_differentials(module: FreeModule) -> list[ShiftMove]:
     Pairs are collapsed to distinct bidegrees; multiplicities are read
     off the module itself.
     """
-    return [
-        ShiftMove(Bidegree(*src), Bidegree(*tgt))
-        for src, tgt in legal_moves(module.gens)
-    ]
+    return [ShiftMove(src, tgt) for src, tgt in legal_moves(module.gens)]
 
 
 def candidate_outcomes(

@@ -107,6 +107,10 @@ def test_divide_examples():
     assert (X * kronholm_poly(3, 1)).divide_by_k11() == X * parse_bipoly("1 + xy + x^2y^2")
     assert (Y - ONE).divide_by_k11() is None
     assert BiPoly.zero().divide_by_k11() == BiPoly.zero()
+    # xy^2 divides the leading term -x^2y^2; the remainder 1 then fails
+    assert (X * K11 + ONE).divide_by_k11() is None
+    q = parse_bipoly("x^3y + y^3 + 2 + 5xy^4") - parse_bipoly("3x^2y^2 + 7x")
+    assert (q * K11).divide_by_k11() == q
 
 
 def test_divide_published_candidate_difference():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from eqgrass.cli import EXIT_AMBIGUOUS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, run
+from eqgrass.search import solve
 
 DATA = Path(__file__).parent / "data"
 
@@ -37,6 +38,28 @@ def test_story_unrelated():
     code, text = invoke(["story", "--a", "1", "--b", "x"])
     assert code == EXIT_OK
     assert text == "not related by shifts\n"
+
+
+# Stories from page 0 of Gr_3(R^{6,3}) to each of its six survivors, in
+# survivor order; each has several terms.
+STORIES_363 = [
+    "x^3y^2 + x^3y + x^2y",
+    "x^4y^3 + x^4y^2 + x^3y^2 + x^3y + x^2y",
+    "x^4y^3 + 2x^3y^2 + x^3y + x^2y",
+    "x^4y^3 + x^4y^2 + 2x^3y^2 + x^3y + x^2y",
+    "x^4y^3 + 2x^3y^2 + x^3y + 2x^2y",
+    "x^4y^3 + x^4y^2 + 2x^3y^2 + x^3y + 2x^2y",
+]
+
+
+def test_story_page_to_each_survivor_363():
+    report = solve(3, 6, 3)
+    start = str(report.pages[0].poincare())
+    got = [
+        invoke(["story", "--a", start, "--b", str(m.poincare())])
+        for m in report.survivors
+    ]
+    assert got == [(EXIT_OK, story + "\n") for story in STORIES_363]
 
 
 def test_totalweight():
@@ -148,6 +171,31 @@ def test_validate_malformed_module_json_exit_2(module, capsys):
     )
     assert code == EXIT_USAGE and text == ""
     assert capsys.readouterr().err.startswith("error: bad module: ")
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf-8 file"])
+def test_validate_unreadable_module_path_exit_2(kind, tmp_path, capsys):
+    path = tmp_path / "module"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'\xff{"generators": []}')
+    code, text = invoke(
+        ["validate", "--k", "1", "--p", "2", "--q", "1", "--module", str(path)]
+    )
+    assert code == EXIT_USAGE and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad module: ") and err.count("\n") == 1
+
+
+def test_validate_long_poly_round_trip():
+    # The (2,13,6) answer is 320 characters: too long to be a file name.
+    kpq = ["--k", "2", "--p", "13", "--q", "6"]
+    code, poly = invoke(["solve", *kpq, "--format", "poly"])
+    assert code == EXIT_OK and len(poly) > 255
+    code, text = invoke(["validate", *kpq, "--module", poly.strip()])
+    assert code == EXIT_OK
+    assert text == "underlying: pass\nfixed-set: pass\ntotal-weight: pass\n"
 
 
 @pytest.mark.parametrize(

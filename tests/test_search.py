@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqgrass.bipoly import BiPoly, parse_bipoly
-from eqgrass.modalg import Bidegree, FreeModule
+from eqgrass.modalg import FreeModule
 from eqgrass.oracle import closure_oracle
 from eqgrass import search
 from eqgrass.schubert import SignWord, e1_page, sign_words, unique_e1_pages
