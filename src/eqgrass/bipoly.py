@@ -290,9 +290,11 @@ def parse_bipoly(text: str) -> BiPoly:
     """Parse the polynomial grammar used by the CLI and JSON encodings.
 
     Terms are joined by '+' or '-'; a term is [coef][x[^int]][y[^int]],
-    e.g. ``x^9y^5 + 2x^7y^4 + 1``.  Whitespace and '*' are accepted and
-    ignored.
+    e.g. ``x^9y^5 + 2x^7y^4 + 1``.  Spaces, tabs and '*' are ignored,
+    except that they may not split a number.
     """
+    if re.search(r"\d[ \t*]+\d", text):
+        raise PolynomialParseError(f"a space or '*' splits a number in {text!r}")
     compact = text.replace("*", "").replace(" ", "").replace("\t", "")
     if not compact:
         raise PolynomialParseError("empty polynomial text")

@@ -304,7 +304,7 @@ def _cmd_validate(args, out) -> int:
                 module = FreeModule.from_json(json.loads(raw))
             else:
                 module = module_from_poly(parse_bipoly(raw))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise _CliError(f"bad module: {exc}") from exc
     diag = validate_page(module, args.k, args.p, args.q)
     for name, flag in [

@@ -250,6 +250,8 @@ class FreeModule:
             if type(entry) is not list or [type(x) for x in entry] != [int, int, int]:
                 raise ValueError(f"generator {entry!r} is not an [a, b, count] triple of ints")
             a, b, k = entry
+            if k < 0:
+                raise ValueError(f"generator {entry!r} has a negative count")
             counts[(a, b)] = counts.get((a, b), 0) + k
         return cls.from_counts(counts)
 

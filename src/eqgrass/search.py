@@ -199,9 +199,9 @@ def subspace_filter(
     return [c for c in candidates if lower_bound.can_relax_to(c)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
-    """Full trace of one solver run; serializes to byte-stable JSON."""
+    """Full trace of one solver run, built once by ``solve``; byte-stable JSON."""
 
     k: int
     p: int
@@ -221,14 +221,6 @@ class SolveReport:
     @property
     def survivors(self) -> list[FreeModule]:
         return [self.candidates[i] for i in self.survivor_indices]
-
-    def replay_filters(self) -> list[int]:
-        """Re-apply the logged removals to the raw candidate list; the
-        result must reproduce the survivor indices exactly."""
-        alive = set(range(len(self.candidates)))
-        for _, removed in self.filter_log:
-            alive -= set(removed)
-        return sorted(alive)
 
     def to_json(self) -> dict:
         # "strategy", "tensions" and "chosen" restate constants, the pages
@@ -271,13 +263,12 @@ def solve(
     check_parameters(k, p, q)
     if jobs != 1:
         raise ValueError(f"solve runs in one process, got jobs={jobs}")
-    report = SolveReport(k=k, p=p, q=q)
+    pages: list[FreeModule] = []
     try:
-        report.pages = pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
-        report.candidates = candidates = candidate_outcomes(pages[0], budget=budget)
+        pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
+        candidates = candidate_outcomes(pages[0], budget=budget)
     except BudgetExceededError as exc:
-        report.failure = str(exc)
-        return report
+        return SolveReport(k, p, q, pages, failure=str(exc))
 
     # Pages that can shift to any other page are redundant: the target
     # page filters at least as hard.  Page 0, the closure's start,
@@ -287,15 +278,13 @@ def solve(
     # only how removals split across the log, never the survivor set.
     position = {page: i for i, page in enumerate(pages)}
     filter_indices = [position[page] for page in reduce_pages(pages)[:0:-1]]
-    report.filter_page_indices = filter_indices
-
+    log: list[tuple[int, list[int]]] = []
     alive = list(range(len(candidates)))
     for page_idx in filter_indices:
         page = pages[page_idx]
         flags = [page.can_relax_to(candidates[i]) for i in alive]
         removed = [i for i, ok in zip(alive, flags) if not ok]
         if removed:
-            report.filter_log.append((page_idx, removed))
+            log.append((page_idx, removed))
             alive = [i for i, ok in zip(alive, flags) if ok]
-    report.survivor_indices = alive
-    return report
+    return SolveReport(k, p, q, pages, candidates, filter_indices, log, alive)

@@ -177,10 +177,11 @@ def test_str_negative_terms():
 
 def test_parse_accepts_stars_and_spaces():
     assert parse_bipoly("2*x^7 * y^4 + 1") == parse_bipoly("2x^7y^4+1")
+    assert parse_bipoly("3 x^2") == parse_bipoly("3x^2")
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "x +", "z", "2x3y", "x^", "--"]:
+    for bad in ["", "x +", "z", "2x3y", "x^", "--", "2*3", "x^1 2", "1 + 2 3x"]:
         with pytest.raises(PolynomialParseError):
             parse_bipoly(bad)
 

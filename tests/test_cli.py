@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -77,6 +78,12 @@ def test_bad_polynomial_exit_2(capsys):
     code, _ = invoke(["story", "--a", "1 +", "--b", "x"])
     assert code == EXIT_USAGE
     assert "--a" in capsys.readouterr().err
+
+
+def test_space_split_number_exit_2(capsys):
+    code, text = invoke(["story", "--a", "2*3", "--b", "6"])
+    assert code == EXIT_USAGE and text == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_inconsistent_kpq_exit_2(capsys):
@@ -163,7 +170,12 @@ def test_validate_poly_module_failing():
 
 @pytest.mark.parametrize(
     "module",
-    ['{"generators": [null]}', '{"generators": 5}', '{"generators": [[0, 0, 1.5]]}'],
+    [
+        '{"generators": [null]}',
+        '{"generators": 5}',
+        '{"generators": [[0, 0, 1.5]]}',
+        '{"generators": [[0, 0, 1], [1, 1, 2], [1, 1, -1]]}',
+    ],
 )
 def test_validate_malformed_module_json_exit_2(module, capsys):
     code, text = invoke(
@@ -222,9 +234,29 @@ def test_solve_table_matches_golden():
     assert text == golden
 
 
-def test_solve_deterministic_bytes():
-    args = ["solve", "--k", "2", "--p", "6", "--q", "3", "--format", "json"]
-    assert invoke(args) == invoke(args)
+# sha256 of the stdout of `solve --format json` and its exit code.
+SOLVE_JSON_STDOUT_SHA256 = {
+    (1, 3, 1): (EXIT_OK, "552d987ceb9c3da23b25034929f078446ca88886dabe32251785a03c776db4a0"),
+    (2, 6, 3): (EXIT_OK, "762294144dc5c7943be97a74a372fd3e1d2c3315a7b7ec521a55fd6dd33a82d5"),
+    (3, 6, 3): (
+        EXIT_AMBIGUOUS,
+        "e08a86dfd27037672555b9223f3ceea3bf0a53d47b929caa8867212139de7c15",
+    ),
+    (2, 8, 4): (EXIT_OK, "82884689caf696af3931492f4bc6492eb1090852941d8f0343a681905e294885"),
+    (3, 7, 2): (
+        EXIT_AMBIGUOUS,
+        "37224c876a935df63e3a6a1f99f72ddc44b03138952c2e8edce9f5386504e9bd",
+    ),
+    (2, 9, 4): (EXIT_OK, "9a0a16a7d9b2447de4bf224b6e9b7f5d82d51f13346a4d0f4ac9e96504e06dfb"),
+}
+
+
+@pytest.mark.parametrize("space", sorted(SOLVE_JSON_STDOUT_SHA256))
+def test_solve_deterministic_bytes(space):
+    k, p, q = map(str, space)
+    code, text = invoke(["solve", "--k", k, "--p", p, "--q", q, "--format", "json"])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (code, digest) == SOLVE_JSON_STDOUT_SHA256[space]
 
 
 def test_solve_ambiguous_exit_1():

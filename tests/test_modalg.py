@@ -271,6 +271,7 @@ def test_json_roundtrip():
         [["0", 0, 1]],
         [[0, 0, True]],
         [[0, 0, 1], [1, 1.0, 1]],
+        [[1, 1, 2], [1, 1, -1]],
     ],
     ids=repr,
 )

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from itertools import permutations
@@ -242,8 +243,9 @@ def test_reduce_pages_matches_every_earlier_page_rule(space):
     assert reduce_pages(pages) == _reduce_against_every_earlier_page(pages)
 
 
-# sha256 of solve(k, p, q).to_json_bytes().  These bytes pin the output of
-# `solve --format json`, so a change that alters them changes the CLI.
+# sha256 of solve(k, p, q).to_json_bytes(), the compact encoding of the
+# report.  The CLI prints the same report with other separators; its bytes
+# are pinned by tests/test_cli.py::test_solve_deterministic_bytes.
 SOLVE_GOLDEN_SHA256 = {
     (1, 3, 1): "5182824d00e3785d5b298994979c9415fb7cb170a55e34333e42f38ce6fe29ec",
     (2, 6, 3): "c453358aaeebec2f8da000b0cb46d53f112c6c21deaf4c3bc1c3cb3e4ffeef6d",
@@ -293,13 +295,21 @@ def test_solve_is_deterministic():
     assert a == b
 
 
-def test_report_replay_matches_survivors():
-    report = solve(3, 6, 3)
-    assert report.replay_filters() == report.survivor_indices
+@pytest.mark.parametrize("space", [(3, 6, 3), (2, 8, 4), (3, 7, 2), (4, 8, 2)])
+def test_report_survivors_pass_every_filter_page(space):
+    report = solve(*space)
+    filters = [report.pages[i] for i in report.filter_page_indices]
+    assert report.survivor_indices == [
+        i
+        for i, cand in enumerate(report.candidates)
+        if all(page.can_relax_to(cand) for page in filters)
+    ]
     # and the log only references live pages
     for page_idx, removed in report.filter_log:
         assert page_idx in report.filter_page_indices
         assert removed
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.failure = "edited"
 
 
 def test_filter_order_does_not_change_survivors():
