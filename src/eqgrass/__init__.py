@@ -8,9 +8,13 @@ from .bipoly import (
     kronholm_poly,
     parse_bipoly,
 )
-from .modalg import FreeModule, ShiftMove, module_from_poly, render_rank_table
+from .modalg import (
+    FreeModule,
+    module_from_poly,
+    possible_differentials,
+    render_rank_table,
+)
 from .schubert import (
-    SchubertCell,
     SignWord,
     cell_bidegree,
     e1_page,
@@ -26,7 +30,6 @@ from .search import (
     BudgetExceededError,
     SolveReport,
     candidate_outcomes,
-    possible_differentials,
     reduce_pages,
     solve,
     subspace_filter,
@@ -49,8 +52,6 @@ __all__ = [
     "K11",
     "PageDiagnostics",
     "PolynomialParseError",
-    "SchubertCell",
-    "ShiftMove",
     "SignWord",
     "SolveReport",
     "UniPoly",

@@ -291,7 +291,7 @@ def _cmd_validate(args, out) -> int:
     else:
         path = Path(args.module)
         try:
-            named = args.module != "-" and path.exists()
+            named = args.module not in ("-", "") and path.exists()
         except OSError:  # e.g. longer than a file name may be
             named = False
         try:

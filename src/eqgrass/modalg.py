@@ -2,7 +2,7 @@
 
 A free module here is nothing but a finite multiset of bidegrees (a, b):
 one entry per free summand shifted into that bidegree, held as a plain
-``(a, b)`` int pair, which is also how a ``ShiftMove`` names its two
+``(a, b)`` int pair.  A move is the pair ``(src, tgt)`` of its two
 ends.  The bigraded Poincare polynomial of the multiset is a complete
 invariant.  B can be reached from A by shifts exactly when the shift
 story (P_B - P_A) / K_{1,1} exists and is nonnegative.  Writing
@@ -15,29 +15,9 @@ division in ``shift_story`` is its independent oracle in the tests.
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .bipoly import BiPoly
-
-
-class ShiftMove(NamedTuple):
-    """A single shift: src goes up in weight by s, tgt comes down by s.
-
-    The magnitude is determined by the bidegrees: with src = (a, b) and
-    tgt = (c, d), n = c - a and s = d - b - n; ``is_legal_shift`` is the
-    rule they must meet.
-    """
-
-    src: tuple[int, int]
-    tgt: tuple[int, int]
-
-    @property
-    def n(self) -> int:
-        return self.tgt[0] - self.src[0]
-
-    @property
-    def s(self) -> int:
-        return (self.tgt[1] - self.src[1]) - self.n
 
 
 def is_legal_shift(src: tuple[int, int], tgt: tuple[int, int]) -> bool:
@@ -49,10 +29,11 @@ def is_legal_shift(src: tuple[int, int], tgt: tuple[int, int]) -> bool:
     return n >= 1 and (tgt[1] - src[1]) - n >= 1
 
 
-def legal_moves(pairs: Iterable[tuple[int, int]]) -> list[tuple]:
-    """Every (src, tgt) among the distinct bidegrees of ``pairs`` that
-    ``is_legal_shift`` admits, sorted by src, then tgt.  A legal tgt has
-    a larger degree, so only the bidegrees sorted after src are tried."""
+def possible_differentials(pairs: Iterable[tuple[int, int]]) -> list[tuple]:
+    """Every move (src, tgt) among the distinct bidegrees of ``pairs``,
+    such as a ``FreeModule``, that ``is_legal_shift`` admits, sorted by
+    src, then tgt.  A legal tgt has a larger degree, so only the
+    bidegrees sorted after src are tried."""
     distinct = sorted(set(pairs))
     return [
         (src, tgt)
@@ -164,13 +145,13 @@ class FreeModule:
 
     # -- shifts ----------------------------------------------------------
 
-    def apply_shift(self, move: ShiftMove) -> "FreeModule":
-        """Apply one shift; the Poincare polynomial changes by
+    def apply_shift(self, move: tuple) -> "FreeModule":
+        """Apply one move (src, tgt); the Poincare polynomial changes by
         x^a y^b K_{n,s}."""
-        src, tgt = tuple(move.src), tuple(move.tgt)
+        src, tgt = move
         if src not in self._gens:
             raise ValueError(f"module has no generator at {src}")
-        if tgt not in self._gens or (src == tgt and self._gens.count(src) < 2):
+        if tgt not in self._gens:
             raise ValueError(f"module has no generator at {tgt}")
         if not is_legal_shift(src, tgt):
             raise ValueError(f"illegal shift {src} -> {tgt}: need n >= 1 and s >= 1")

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .bipoly import UniPoly
-from .modalg import FreeModule, legal_moves, shift_result
+from .modalg import FreeModule, possible_differentials, shift_result
 from .schubert import (
     e1_page,
     enumerate_cells,
@@ -34,8 +34,8 @@ def gaussian_binomial(p: int, k: int) -> UniPoly:
     bigraded bookkeeping and the product formula for q-binomials.
     """
     terms: dict[int, int] = {}
-    for cell in enumerate_cells(k, p):
-        d = cell.dimension()
+    for pivots in enumerate_cells(k, p):
+        d = sum(c - i for i, c in enumerate(pivots, 1))
         terms[d] = terms.get(d, 0) + 1
     return UniPoly(terms)
 
@@ -64,31 +64,28 @@ def closure_oracle(
 ) -> list[FreeModule]:
     """``search.candidate_outcomes`` done slowly: a breadth-first search
     over sorted generator tuples that lists each state's moves afresh.
-    The caps raise the same ``BudgetExceededError`` messages."""
+    A state counts when it is first taken off the queue, the start
+    included.  The caps raise the same ``BudgetExceededError`` messages."""
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    start = module.gens
-    seen = {start}
-    frontier = deque([start])
+    seen = set()
+    frontier = deque([module.gens])
     while frontier:
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError(
                 f"candidate enumeration exceeded {max_seconds} seconds"
             )
         gens = frontier.popleft()
-        for src, tgt in legal_moves(gens):
+        if gens in seen:
+            continue
+        seen.add(gens)
+        if max_modules is not None and len(seen) > max_modules:
+            raise BudgetExceededError(f"candidate enumeration exceeded {max_modules} modules")
+        for src, tgt in possible_differentials(gens):
             after = list(gens)
             after.remove(src)
             after.remove(tgt)
             after.extend(shift_result(src, tgt))
-            child = tuple(sorted(after))
-            if child in seen:
-                continue
-            seen.add(child)
-            if max_modules is not None and len(seen) > max_modules:
-                raise BudgetExceededError(
-                    f"candidate enumeration exceeded {max_modules} modules"
-                )
-            frontier.append(child)
+            frontier.append(tuple(sorted(after)))
     return sorted(FreeModule(gens) for gens in seen)
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import getitem
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .modalg import FreeModule
 
@@ -79,26 +79,20 @@ class SignWord:
         return SignWord(self.signs[:m])
 
 
-class SchubertCell(NamedTuple):
-    pivots: tuple[int, ...]  # strictly increasing, 1-based columns
-
-    def dimension(self) -> int:
-        return sum(c - i for i, c in enumerate(self.pivots, start=1))
-
-
-def enumerate_cells(k: int, p: int) -> list[SchubertCell]:
-    """All C(p, k) pivot sets in lexicographic order."""
+def enumerate_cells(k: int, p: int) -> list[tuple[int, ...]]:
+    """All C(p, k) cells in lexicographic order.  A cell is its tuple of
+    strictly increasing, 1-based pivot columns."""
     if k < 0 or p < 0 or k > p:
         raise ValueError(f"need 0 <= k <= p, got k={k}, p={p}")
-    return [SchubertCell(c) for c in combinations(range(1, p + 1), k)]
+    return list(combinations(range(1, p + 1), k))
 
 
-def _cell_rows(cells: Iterable[SchubertCell]) -> tuple[list, list]:
+def _cell_rows(cells: Iterable[tuple[int, ...]]) -> tuple[list, list]:
     """Each cell's (dimension, weight) pairs indexed by weight, shared
     by every page, and the rows of all cells in order.  A row is (pivot
     bit, mask of the columns left of the pivot that are not pivots)."""
     gens, rows = [], []
-    for (pivots,) in cells:
+    for pivots in cells:
         taken = sum(1 << (c - 1) for c in pivots)
         cell = [(1 << (c - 1), ((1 << (c - 1)) - 1) & ~taken) for c in pivots]
         dim = sum(free.bit_count() for _, free in cell)
@@ -118,18 +112,19 @@ def _bidegrees(gens: list, rows: list, k: int, mask: int) -> list[tuple[int, int
     return list(map(getitem, gens, per_cell))
 
 
-def cell_bidegree(cell: SchubertCell, word: SignWord) -> tuple[int, int]:
+def cell_bidegree(pivots: tuple[int, ...], word: SignWord) -> tuple[int, int]:
     """Dimension and weight of a cell under the given sign word.
 
     The dimension counts the free entries; the weight counts the free
     entries whose column letter differs from their row's pivot letter.
     """
-    pivots = cell.pivots
+    if not all(type(b) is int and a < b for a, b in zip((0, *pivots), pivots)):
+        raise ValueError(f"pivots {pivots} must be ints strictly increasing from 1")
     if pivots and word.p < pivots[-1]:
         raise ValueError(
             f"sign word of length {word.p} too short for pivots {pivots}"
         )
-    return _bidegrees(*_cell_rows([cell]), len(pivots), word.mask)[0]
+    return _bidegrees(*_cell_rows([pivots]), len(pivots), word.mask)[0]
 
 
 def e1_page(k: int, word: SignWord) -> FreeModule:
@@ -192,7 +187,7 @@ def e1_quotient_page(k: int, word: SignWord, m: int) -> FreeModule:
         raise ValueError(f"need m < p, got m={m}, p={word.p}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    cells = [c for c in enumerate_cells(k, word.p) if c.pivots and c.pivots[-1] > m]
+    cells = [c for c in enumerate_cells(k, word.p) if c and c[-1] > m]
     return FreeModule(_bidegrees(*_cell_rows(cells), k, word.mask))
 
 

@@ -11,11 +11,11 @@ of the same space must reach the true answer as well.  The solver:
   d. strikes every candidate some remaining page cannot relax to.
 
 Each rule is written once.  ``modalg.is_legal_shift`` is the move rule,
-``modalg.legal_moves`` lists the moves it admits for
-``possible_differentials`` and the candidate enumeration, and
-``modalg.shift_result`` is the result of a move.  ``reduce_pages`` is the
-page reduction of step c, and ``FreeModule.can_relax_to`` is the one
-relaxation check behind steps c and d.
+``modalg.possible_differentials`` lists the (src, tgt) moves it admits
+for the candidate enumeration, and ``modalg.shift_result`` is the
+result of a move.  ``reduce_pages`` is the page reduction of step c,
+and ``FreeModule.can_relax_to`` is the one relaxation check behind
+steps c and d.
 
 Step b is the closure: it replays single shifts breadth-first,
 recomputing the possible differentials at every intermediate module, so
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from .modalg import FreeModule, ShiftMove, legal_moves, shift_result
+from .modalg import FreeModule, possible_differentials, shift_result
 from .schubert import BudgetExceededError, check_parameters, unique_e1_pages
 
 DEFAULT_MAX_MODULES = 1_000_000
@@ -70,15 +70,6 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def possible_differentials(module: FreeModule) -> list[ShiftMove]:
-    """All bidegree-level differentials the module could support.
-
-    Pairs are collapsed to distinct bidegrees; multiplicities are read
-    off the module itself.
-    """
-    return [ShiftMove(src, tgt) for src, tgt in legal_moves(module.gens)]
-
-
 def candidate_outcomes(
     module: FreeModule,
     strategy: str = DEFAULT_STRATEGY,
@@ -105,7 +96,7 @@ def candidate_outcomes(
     cells = set(module.gens)
     while True:
         _check_deadline(deadline, budget)
-        moves = [(src, tgt, *shift_result(src, tgt)) for src, tgt in legal_moves(cells)]
+        moves = [(*move, *shift_result(*move)) for move in possible_differentials(cells)]
         reached = {cell for move in moves for cell in move[2:]}
         if reached <= cells:
             break
@@ -129,6 +120,8 @@ def candidate_outcomes(
     seen = {start}
     frontier = deque([start])
     max_modules = budget.max_modules
+    if max_modules is not None and len(seen) > max_modules:
+        raise BudgetExceededError(f"candidate enumeration exceeded {max_modules} modules")
     while frontier:
         _check_deadline(deadline, budget)
         state = frontier.popleft()

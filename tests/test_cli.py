@@ -185,6 +185,15 @@ def test_validate_malformed_module_json_exit_2(module, capsys):
     assert capsys.readouterr().err.startswith("error: bad module: ")
 
 
+def test_validate_empty_module_text_exit_2(capsys):
+    # Path("") is the current directory; empty text must not read it.
+    code, text = invoke(
+        ["validate", "--k", "1", "--p", "2", "--q", "1", "--module", ""]
+    )
+    assert code == EXIT_USAGE and text == ""
+    assert capsys.readouterr().err == "error: bad module: empty polynomial text\n"
+
+
 @pytest.mark.parametrize("kind", ["directory", "non-utf-8 file"])
 def test_validate_unreadable_module_path_exit_2(kind, tmp_path, capsys):
     path = tmp_path / "module"
@@ -274,6 +283,15 @@ def test_solve_budget_exit_3(capsys):
     )
     assert code == EXIT_BUDGET
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_solve_module_budget_of_zero_counts_the_start(capsys):
+    # Gr_1(R^{3,1}) has a start with no moves, which a cap of 0 still refuses.
+    code, text = invoke(
+        ["solve", "--k", "1", "--p", "3", "--q", "1", "--max-modules", "0"]
+    )
+    assert code == EXIT_BUDGET and text == ""
+    assert "exceeded 0 modules" in capsys.readouterr().err
 
 
 def test_pages_word_budget_exit_3(tmp_path, capsys):

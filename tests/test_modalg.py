@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from eqgrass.bipoly import BiPoly, K11, parse_bipoly
 from eqgrass.modalg import (
     FreeModule,
-    ShiftMove,
     module_from_poly,
     render_rank_table,
 )
@@ -147,15 +146,15 @@ def test_relaxation_matches_division_on_hand_built(pair):
 
 def test_apply_shift_examples():
     m = FreeModule([(1, 0), (2, 2)])
-    assert m.apply_shift(ShiftMove((1, 0), (2, 2))) == FreeModule(
+    assert m.apply_shift(((1, 0), (2, 2))) == FreeModule(
         [(1, 1), (2, 1)]
     )
     m = FreeModule([(0, 0), (1, 4)])
-    assert m.apply_shift(ShiftMove((0, 0), (1, 4))) == FreeModule(
+    assert m.apply_shift(((0, 0), (1, 4))) == FreeModule(
         [(0, 3), (1, 1)]
     )
     m = FreeModule([(1, 0), (4, 4)])
-    assert m.apply_shift(ShiftMove((1, 0), (4, 4))) == FreeModule(
+    assert m.apply_shift(((1, 0), (4, 4))) == FreeModule(
         [(1, 1), (4, 3)]
     )
 
@@ -164,8 +163,9 @@ def test_apply_shift_poincare_delta_is_kronholm():
     from eqgrass.bipoly import kronholm_poly
 
     m = GR242_E1
-    move = ShiftMove((3, 1), (4, 4))
-    n, s = move.n, move.s
+    move = ((3, 1), (4, 4))
+    (a, b), (c, d) = move
+    n, s = c - a, (d - b) - (c - a)
     assert (n, s) == (1, 2)
     shifted = m.apply_shift(move)
     delta = shifted.poincare() - m.poincare()
@@ -175,22 +175,23 @@ def test_apply_shift_poincare_delta_is_kronholm():
 def test_apply_shift_rejections():
     m = FreeModule([(1, 0), (2, 2)])
     with pytest.raises(ValueError, match="no generator"):
-        m.apply_shift(ShiftMove((0, 0), (2, 2)))
+        m.apply_shift(((0, 0), (2, 2)))
     with pytest.raises(ValueError, match="illegal shift"):
-        m.apply_shift(ShiftMove((2, 2), (1, 0)))
+        m.apply_shift(((2, 2), (1, 0)))
     # n >= 1 but s = 0
     m2 = FreeModule([(1, 0), (2, 1)])
     with pytest.raises(ValueError, match="illegal shift"):
-        m2.apply_shift(ShiftMove((1, 0), (2, 1)))
+        m2.apply_shift(((1, 0), (2, 1)))
 
 
 def _legal_moves(m):
     distinct = sorted(set(m.gens))
     for src in distinct:
         for tgt in distinct:
-            move = ShiftMove(src, tgt)
-            if move.n >= 1 and move.s >= 1:
-                yield move
+            n = tgt[0] - src[0]
+            s = (tgt[1] - src[1]) - n
+            if n >= 1 and s >= 1:
+                yield src, tgt
 
 
 @given(cell_like_modules(max_gens=7))
@@ -229,8 +230,8 @@ def test_relaxation_antisymmetric(a, b):
 
 def test_relaxation_transitive_on_chain():
     a = GR242_E1
-    b = a.apply_shift(ShiftMove((2, 1), (4, 4)))
-    c = b.apply_shift(ShiftMove((3, 1), (4, 3)))
+    b = a.apply_shift(((2, 1), (4, 4)))
+    c = b.apply_shift(((3, 1), (4, 3)))
     assert a.can_relax_to(b) and b.can_relax_to(c) and a.can_relax_to(c)
 
 
@@ -358,7 +359,7 @@ def test_generators_are_plain_tuples():
         FreeModule.from_json(GR242_E1.to_json()),
         module_from_poly(parse_bipoly("1 + xy + 2x^2y")),
         GR242_E1.apply_shift(possible_differentials(GR242_E1)[0]),
-        GR242_E1.apply_shift(ShiftMove((3, 1), (4, 4))),
+        GR242_E1.apply_shift(((3, 1), (4, 4))),
         RP2_E1 + RP2_H,
     ]
     assert all(type(g) is tuple for m in built for g in m.gens)
@@ -366,10 +367,10 @@ def test_generators_are_plain_tuples():
         type(cell_bidegree(cell, word)) is tuple for cell in enumerate_cells(2, 4)
     )
     assert all(type(key) is tuple for key in GR242_E1.counts())
-    assert all(type(end) is tuple for d in possible_differentials(GR242_E1) for end in d)
-    # a move built from plain pairs, as module.gens hands them out
-    assert ShiftMove((1, 0), (2, 2)).s == 1
-    assert ShiftMove(*RP2_E1.gens[1:]).n == 1
+    moves = possible_differentials(GR242_E1)
+    assert all(type(d) is tuple for d in moves)
+    assert all(type(end) is tuple for d in moves for end in d)
+    assert all(type(cell) is tuple for cell in enumerate_cells(2, 4))
 
 
 def test_rank_table_fig_242():

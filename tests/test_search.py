@@ -40,7 +40,7 @@ def brute_force_differentials(module):
 
 def test_possible_differentials_rp2():
     pairs = possible_differentials(RP2_E1)
-    assert [(tuple(m.src), tuple(m.tgt)) for m in pairs] == [((1, 0), (2, 2))]
+    assert pairs == [((1, 0), (2, 2))]
     assert brute_force_differentials(RP2_E1) == {((1, 0), (2, 2))}
 
 
@@ -53,13 +53,14 @@ def test_possible_differentials_single_big_shift():
     m = FreeModule([(0, 0), (1, 4)])
     pairs = possible_differentials(m)
     assert len(pairs) == 1
-    assert pairs[0].s == 3
+    (a, b), (c, d) = pairs[0]
+    assert (d - b) - (c - a) == 3
 
 
 @given(cell_like_modules(max_gens=7))
 @settings(max_examples=80)
 def test_differentials_match_cone_oracle(m):
-    got = {(tuple(d.src), tuple(d.tgt)) for d in possible_differentials(m)}
+    got = set(possible_differentials(m))
     assert got == brute_force_differentials(m)
 
 
@@ -166,6 +167,16 @@ def test_candidate_budget_abort():
         candidate_outcomes(page, budget=Budget(max_modules=10))
 
 
+def test_module_budget_counts_the_start():
+    # RP2_H has no moves, so only the start itself can break a cap of 0.
+    with pytest.raises(BudgetExceededError, match="exceeded 0 modules"):
+        candidate_outcomes(RP2_H, budget=Budget(max_modules=0))
+    with pytest.raises(BudgetExceededError, match="exceeded 0 modules"):
+        closure_oracle(RP2_H, max_modules=0)
+    assert candidate_outcomes(RP2_H, budget=Budget(max_modules=1)) == [RP2_H]
+    assert closure_oracle(RP2_H, max_modules=1) == [RP2_H]
+
+
 def test_candidate_time_budget():
     page = unique_e1_pages(2, 8, 4)[0]
     with pytest.raises(BudgetExceededError):
@@ -174,13 +185,13 @@ def test_candidate_time_budget():
 
 def test_time_budget_covers_cell_closure(monkeypatch):
     calls = []
-    legal_moves = search.legal_moves
+    lister = search.possible_differentials
 
     def counting(pairs):
         calls.append(1)
-        return legal_moves(pairs)
+        return lister(pairs)
 
-    monkeypatch.setattr(search, "legal_moves", counting)
+    monkeypatch.setattr(search, "possible_differentials", counting)
     page = FreeModule([(a, 2 * a) for a in range(12)])
     with pytest.raises(BudgetExceededError, match="exceeded 0.0 seconds"):
         candidate_outcomes(page, budget=Budget(max_modules=None, max_seconds=0.0))
