@@ -32,7 +32,7 @@ def main() -> None:
                     print(f"{name:>14} {'-':>6} {'-':>7} {'budget':>8} {dt:7.1f}")
                 else:
                     print(
-                        f"{name:>14} {len(rep.pages):>6} {len(rep.candidates):>7} "
+                        f"{name:>14} {len(rep.pages):>6} {len(rep.states):>7} "
                         f"{len(rep.survivor_indices):>8} {dt:7.1f}"
                     )
 

@@ -120,7 +120,7 @@ def _add_budget(parser):
         "--max-seconds",
         type=_nonnegative(float),
         default=None,
-        help="wall-clock cap for candidate enumeration",
+        help="wall-clock cap for candidate enumeration, and for solve's page reduction and filter",
     )
 
 

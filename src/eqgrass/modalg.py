@@ -147,8 +147,8 @@ class FreeModule:
 
     def apply_shift(self, move: tuple) -> "FreeModule":
         """Apply one move (src, tgt); the Poincare polynomial changes by
-        x^a y^b K_{n,s}."""
-        src, tgt = move
+        x^a y^b K_{n,s}.  The ends may be lists, as JSON gives them."""
+        src, tgt = map(tuple, move)
         if src not in self._gens:
             raise ValueError(f"module has no generator at {src}")
         if tgt not in self._gens:

@@ -13,9 +13,9 @@ of the same space must reach the true answer as well.  The solver:
 Each rule is written once.  ``modalg.is_legal_shift`` is the move rule,
 ``modalg.possible_differentials`` lists the (src, tgt) moves it admits
 for the candidate enumeration, and ``modalg.shift_result`` is the
-result of a move.  ``reduce_pages`` is the page reduction of step c,
-and ``FreeModule.can_relax_to`` is the one relaxation check behind
-steps c and d.
+result of a move.  ``reduce_pages`` is the page reduction of step c.
+Steps c and d test relaxation as one integer comparison of corner keys
+(``_corner_keys``), which ``FreeModule.can_relax_to`` checks in the tests.
 
 Step b is the closure: it replays single shifts breadth-first,
 recomputing the possible differentials at every intermediate module, so
@@ -24,8 +24,9 @@ re-running the sequence after each cell attachment.  A state is a count
 table over (row, e = a - b) cells packed into one int, a field per cell,
 and a move, which swaps two values of e, changes four fields.  Every
 move strictly decreases tension, so the closure is finite and always
-runs to the end.  The time budget also covers building the cells.
-``oracle.closure_oracle`` is its slow reference.
+runs to the end.  ``oracle.closure_oracle`` is its slow reference.
+The time budget runs from the start of ``solve`` and covers building
+the cells, the closure, the reduction and the filter.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, repeat
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .modalg import FreeModule, possible_differentials, shift_result
 from .schubert import BudgetExceededError, check_parameters, unique_e1_pages
@@ -58,8 +60,8 @@ class Budget:
     ``max_modules`` bounds the number of distinct modules a candidate
     enumeration may visit; ``max_words`` bounds the number of sign words
     a page enumeration may examine; ``max_seconds`` optionally bounds
-    wall-clock time for a candidate enumeration.  Any cap may be None
-    for unlimited.
+    wall-clock time for a candidate enumeration or a ``solve``.  Any cap
+    may be None for unlimited.
     """
 
     max_modules: int | None = DEFAULT_MAX_MODULES
@@ -83,6 +85,13 @@ def candidate_outcomes(
     """
     if strategy != DEFAULT_STRATEGY:
         raise ValueError(f"unknown strategy {strategy!r}")
+    cells, states = _closure(module, budget, time.monotonic())
+    return [_module(cells, table) for table in _tables(cells, states, len(module))]
+
+
+def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, list]:
+    """The sorted cells of ``module``'s closure and its states, in descending
+    order; ``budget.max_seconds`` counts from ``began``."""
     # A state is a count table over the cells, the bidegrees a generator
     # can reach (the start's, closed under the move rule), packed into an
     # int, one fixed-width field per cell, cell 0 most significant.  In
@@ -90,20 +99,16 @@ def candidate_outcomes(
     # higher row, so it is -1, -1, +1, +1 on four fields' units, and a
     # state tries only the moves between its live cells.  One cell can
     # gather up to len(module) generators, which sets the width.
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
     cells = set(module.gens)
     while True:
-        _check_deadline(deadline, budget)
+        _check_clock(began, budget, "candidate enumeration")
         moves = [(*move, *shift_result(*move)) for move in possible_differentials(cells)]
         reached = {cell for move in moves for cell in move[2:]}
         if reached <= cells:
             break
         cells |= reached
     cells = sorted(cells)
-    typecode = next(t for t in "BHIQ" if len(module) < 1 << 8 * array(t).itemsize)
-    width = 8 * array(typecode).itemsize
+    width = 8 * array(_typecode(len(module))).itemsize
     mask = (1 << width) - 1
     shifts = list(range(width * (len(cells) - 1), -1, -width))
     units = [1 << shift for shift in shifts]
@@ -123,7 +128,7 @@ def candidate_outcomes(
     if max_modules is not None and len(seen) > max_modules:
         raise BudgetExceededError(f"candidate enumeration exceeded {max_modules} modules")
     while frontier:
-        _check_deadline(deadline, budget)
+        _check_clock(began, budget, "candidate enumeration")
         state = frontier.popleft()
         for shift, unit, swaps in movers:
             if not state >> shift & mask:
@@ -143,23 +148,81 @@ def candidate_outcomes(
                 frontier.append(child)
     # A module with more generators in the first differing cell is the
     # smaller one, and its table the larger int, so descending states
-    # give the canonical order; the sorted cells keep each decode sorted.
-    nbytes = len(cells) * width // 8
-    swap = width > 8 and sys.byteorder == "little"
-    outcomes = []
-    for state in sorted(seen, reverse=True):
+    # give the canonical order.
+    return cells, sorted(seen, reverse=True)
+
+
+def _typecode(size: int) -> str:
+    return next(t for t in "BHIQ" if size < 1 << 8 * array(t).itemsize)
+
+
+def _tables(cells: list, states: Iterable[int], size: int) -> Iterator[array]:
+    """The count tables of closure states whose start has ``size`` generators."""
+    typecode = _typecode(size)
+    nbytes = len(cells) * array(typecode).itemsize
+    for state in states:
         table = array(typecode, state.to_bytes(nbytes, "big"))
-        if swap:
+        if typecode != "B" and sys.byteorder == "little":
             table.byteswap()
-        outcomes.append(FreeModule(chain.from_iterable(map(repeat, cells, table))))
-    return outcomes
+        yield table
 
 
-def _check_deadline(deadline: float | None, budget: Budget) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceededError(
-            f"candidate enumeration exceeded {budget.max_seconds} seconds"
-        )
+def _module(cells: list, table: Sequence[int]) -> FreeModule:
+    return FreeModule(chain.from_iterable(map(repeat, cells, table)))
+
+
+def _check_clock(began: float, budget: Budget, phase: str) -> None:
+    if budget.max_seconds is not None and time.monotonic() - began > budget.max_seconds:
+        raise BudgetExceededError(f"{phase} exceeded {budget.max_seconds} seconds")
+
+
+def _margins(module: FreeModule) -> tuple[list[int], list[int]]:
+    """Degrees and sorted values of e = a - b; shifts keep both."""
+    return [a for a, _ in module.gens], sorted(a - b for a, b in module.gens)
+
+
+def _corner_keys(page0: FreeModule) -> tuple[int, Callable]:
+    """``(guard, key)``: ``key(gens)`` packs the counts of generators with
+    a <= i and e <= t into a field per corner (i, t) of page0, with a guard
+    bit on top (the last i and t, fixed by the margins, are left out), so
+    a module's key is the sum of its generators' keys, their units.  For P
+    and B with page0's margins, ``P.can_relax_to(B)`` exactly when
+    ``((key_B | guard) - key_P) & guard == guard``: no field borrows."""
+    degrees, es = _margins(page0)
+    rows, cols = sorted(set(degrees)), sorted(set(es))
+    width = len(page0).bit_length() + 1
+    last = len(cols) - 1
+    row_bytes = (width * last + 7) // 8  # each row of corners starts on a byte
+    row_of = {a: i for i, a in enumerate(rows)}
+    # col_part[e] has a one in each field t >= e of a row
+    col_part = {e: sum(1 << width * t for t in range(i, last)) for i, e in enumerate(cols)}
+
+    def key(gens: Iterable[tuple[int, int]]) -> int:
+        counts = [0] * len(rows)
+        for a, b in gens:
+            counts[row_of[a]] += col_part[a - b]
+        runs = (n.to_bytes(row_bytes, "little") for n in accumulate(counts[:-1]))
+        return int.from_bytes(b"".join(runs), "little")
+
+    # The unit of the first row's first e counts in every corner.
+    return key([(rows[0], rows[0] - cols[0])]) << width - 1 if rows else 0, key
+
+
+def _kept_pages(
+    pages: Sequence[FreeModule], budget: Budget = DEFAULT_BUDGET, began: float = 0.0
+) -> tuple[int, Callable, list[tuple[int, int | None]]]:
+    """``_corner_keys(pages[0])`` and the (index, key) of each kept page; a
+    page without page 0's margins relaxes to no other, and its key is None."""
+    guard, key = _corner_keys(pages[0])
+    margins = _margins(pages[0])
+    kept = []
+    for i, page in enumerate(pages):
+        _check_clock(began, budget, "page reduction")
+        page_key = key(page.gens) if _margins(page) == margins else None
+        targets = (target for _, target in kept if target is not None)
+        if page_key is None or not any(((t | guard) - page_key) & guard == guard for t in targets):
+            kept.append((i, page_key))
+    return guard, key, kept
 
 
 def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
@@ -170,15 +233,10 @@ def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
     ``unique_e1_pages`` returns them.  Relaxing strictly lowers tension,
     so only earlier pages can be targets, and the first page is always
     kept.  Each page is checked against the kept pages only: relaxation
-    is transitive, so a page that relaxes to a dropped page also relaxes
-    to the kept page that one relaxes to, and the result is the same as
-    checking every earlier page.
+    is transitive, so the result is the same as checking every earlier
+    page.  A page without the first page's margins is always kept.
     """
-    kept: list[FreeModule] = []
-    for page in pages:
-        if not any(page.can_relax_to(target) for target in kept):
-            kept.append(page)
-    return kept
+    return [pages[i] for i, _ in _kept_pages(pages)[2]] if pages else []
 
 
 def subspace_filter(
@@ -194,13 +252,15 @@ def subspace_filter(
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Full trace of one solver run, built once by ``solve``; byte-stable JSON."""
+    """Full trace of one solver run, built once by ``solve``; byte-stable JSON.
+    The candidates, ``pages[0]``'s closure, are decoded from ``states`` on access."""
 
     k: int
     p: int
     q: int
     pages: list[FreeModule] = field(default_factory=list)
-    candidates: list[FreeModule] = field(default_factory=list)
+    cells: list[tuple[int, int]] = field(default_factory=list)
+    states: list[int] = field(default_factory=list)
     filter_page_indices: list[int] = field(default_factory=list)
     filter_log: list[tuple[int, list[int]]] = field(default_factory=list)
     survivor_indices: list[int] = field(default_factory=list)
@@ -211,21 +271,31 @@ class SolveReport:
         """True when a budget cut the run short; ``failure`` says which."""
         return self.failure is not None
 
+    def _unpack(self, states: Iterable[int]) -> Iterator[array]:
+        return _tables(self.cells, states, len(self.pages[0]) if self.pages else 0)
+
+    @property
+    def candidates(self) -> list[FreeModule]:
+        return [_module(self.cells, table) for table in self._unpack(self.states)]
+
     @property
     def survivors(self) -> list[FreeModule]:
-        return [self.candidates[i] for i in self.survivor_indices]
+        states = [self.states[i] for i in self.survivor_indices]
+        return [_module(self.cells, table) for table in self._unpack(states)]
 
     def to_json(self) -> dict:
         # "strategy", "tensions" and "chosen" restate constants, the pages
         # and the closure's start, page 0; they stay so that the bytes of
-        # `solve --format json` do.
+        # `solve --format json` do.  Over the sorted cells a candidate's
+        # table gives FreeModule.to_json's list.
         return {
             "parameters": {"k": self.k, "p": self.p, "q": self.q},
             "strategy": dict(_STRATEGY_JSON),
             "pages": [m.to_json() for m in self.pages],
             "tensions": [m.tension() for m in self.pages],
             "chosen": 0,
-            "candidates": [m.to_json() for m in self.candidates],
+            "candidates": [{"generators": [[a, b, n] for (a, b), n in zip(self.cells, t) if n]}
+                           for t in self._unpack(self.states)],
             "filter_page_indices": list(self.filter_page_indices),
             "filter_log": [
                 {"page": page_idx, "removed": list(removed)}
@@ -251,33 +321,39 @@ def solve(
 
     Deterministic for fixed arguments.  The search runs in this process,
     and ``jobs`` may only be 1.  Budget exhaustion produces a partial
-    report whose ``failure`` names the cap instead of an exception.
+    report whose ``failure`` names the cap instead of an exception;
+    ``max_seconds`` runs from the call and covers the closure, the page
+    reduction and the filter.
     """
     check_parameters(k, p, q)
     if jobs != 1:
         raise ValueError(f"solve runs in one process, got jobs={jobs}")
+    began = time.monotonic()
     pages: list[FreeModule] = []
     try:
         pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
-        candidates = candidate_outcomes(pages[0], budget=budget)
+        cells, states = _closure(pages[0], budget, began)
+        # Pages that can shift to any other page are redundant: the
+        # target page filters at least as hard.  Page 0, the closure's
+        # start, filters nothing (every candidate is reachable from it)
+        # so it is never used.  Filters run from the highest-tension page
+        # down; the order changes only how removals split across the
+        # log, never the survivor set.
+        guard, key, kept = _kept_pages(pages, budget, began)
+        filters = kept[:0:-1]
+        units = [key([cell]) for cell in cells]
+        removed: dict[int, list[int]] = {i: [] for i, _ in filters}
+        alive = []
+        for c, table in enumerate(_tables(cells, states, len(pages[0]))):
+            _check_clock(began, budget, "candidate filter")
+            cand = sum(map(mul, table, units))
+            for i, page_key in filters:  # filed under the first page it fails
+                if page_key is None or ((cand | guard) - page_key) & guard != guard:
+                    removed[i].append(c)
+                    break
+            else:
+                alive.append(c)
     except BudgetExceededError as exc:
         return SolveReport(k, p, q, pages, failure=str(exc))
-
-    # Pages that can shift to any other page are redundant: the target
-    # page filters at least as hard.  Page 0, the closure's start,
-    # filters nothing (every candidate is reachable from it) so it is
-    # never used.
-    # Filters run from the highest-tension page down; the order changes
-    # only how removals split across the log, never the survivor set.
-    position = {page: i for i, page in enumerate(pages)}
-    filter_indices = [position[page] for page in reduce_pages(pages)[:0:-1]]
-    log: list[tuple[int, list[int]]] = []
-    alive = list(range(len(candidates)))
-    for page_idx in filter_indices:
-        page = pages[page_idx]
-        flags = [page.can_relax_to(candidates[i]) for i in alive]
-        removed = [i for i, ok in zip(alive, flags) if not ok]
-        if removed:
-            log.append((page_idx, removed))
-            alive = [i for i, ok in zip(alive, flags) if ok]
-    return SolveReport(k, p, q, pages, candidates, filter_indices, log, alive)
+    log = [(i, removed[i]) for i, _ in filters if removed[i]]
+    return SolveReport(k, p, q, pages, cells, states, [i for i, _ in filters], log, alive)

@@ -172,6 +172,16 @@ def test_apply_shift_poincare_delta_is_kronholm():
     assert delta == BiPoly.monomial(3, 1) * kronholm_poly(n, s)
 
 
+def test_apply_shift_accepts_list_ends():
+    # a move read back from JSON has lists for its ends
+    m = FreeModule([(1, 0), (2, 2)])
+    assert m.apply_shift([[1, 0], [2, 2]]) == m.apply_shift(((1, 0), (2, 2)))
+    with pytest.raises(ValueError, match=r"no generator at \(0, 0\)"):
+        m.apply_shift([[0, 0], [2, 2]])
+    with pytest.raises(ValueError, match="illegal shift"):
+        m.apply_shift([[2, 2], [1, 0]])
+
+
 def test_apply_shift_rejections():
     m = FreeModule([(1, 0), (2, 2)])
     with pytest.raises(ValueError, match="no generator"):

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import tracemalloc
-from itertools import permutations
+from functools import cache
+from itertools import count, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from eqgrass.modalg import FreeModule
 from eqgrass.oracle import closure_oracle
 from eqgrass import search
 from eqgrass.schubert import SignWord, e1_page, sign_words, unique_e1_pages
+from eqgrass.cli import EXIT_BUDGET, run
 from eqgrass.search import (
     Budget,
     BudgetExceededError,
@@ -198,6 +201,20 @@ def test_time_budget_covers_cell_closure(monkeypatch):
     assert len(calls) <= 1
 
 
+def test_time_budget_covers_the_search(monkeypatch):
+    # A clock that ticks one second per read trips on the 12th read, after
+    # the few rounds that build the cells: in the search itself.
+    ticks = count()
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    rounds = []
+    lister = search.possible_differentials
+    monkeypatch.setattr(search, "possible_differentials", lambda cells: rounds.append(1) or lister(cells))
+    page = unique_e1_pages(3, 6, 3)[0]
+    with pytest.raises(BudgetExceededError, match="candidate enumeration exceeded 10 seconds"):
+        candidate_outcomes(page, budget=Budget(max_seconds=10))
+    assert len(rounds) < 10
+
+
 def test_module_budget_memory_before_abort():
     # The cells and their moves are built before the module cap is
     # checked; this pins what that costs on a start whose cells grow.
@@ -254,6 +271,77 @@ def test_reduce_pages_matches_every_earlier_page_rule(space):
     assert reduce_pages(pages) == _reduce_against_every_earlier_page(pages)
 
 
+@cache
+def _pages_and_closure(space):
+    pages = unique_e1_pages(*space)
+    return tuple(pages), tuple(candidate_outcomes(pages[0]))
+
+
+def _keys_relax(page0, source, target):
+    """The corner-key test on page0's corners, margins compared first."""
+    guard, key = search._corner_keys(page0)
+    margins = search._margins(page0)
+    if search._margins(source) != margins or search._margins(target) != margins:
+        return False
+    return ((key(target.gens) | guard) - key(source.gens)) & guard == guard
+
+
+_KEY_SPACES = [(1, 3, 1), (2, 6, 3), (3, 6, 3), (2, 8, 4), (3, 7, 2), (2, 9, 4)]
+
+
+@given(st.sampled_from(_KEY_SPACES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_corner_keys_match_can_relax_to(space, data):
+    pages, closure = _pages_and_closure(space)
+    pool = st.sampled_from(data.draw(st.sampled_from([pages, closure, pages + closure])))
+    source, target = data.draw(pool), data.draw(pool)
+    assert _keys_relax(pages[0], source, target) == source.can_relax_to(target)
+
+
+def _off_margins(module, i, shift_degree):
+    """module with generator i moved off page 0's margins: one step up in
+    degree and weight keeps its e but changes the degrees; one step up in
+    weight changes its e."""
+    a, b = module.gens[i]
+    moved = (a + 1, b + 1) if shift_degree else (a, b + 1)
+    return FreeModule(module.gens[:i] + (moved,) + module.gens[i + 1:])
+
+
+@given(st.sampled_from(_KEY_SPACES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_corner_keys_refuse_other_margins(space, data):
+    pages, closure = _pages_and_closure(space)
+    module = data.draw(st.sampled_from(pages + closure))
+    other = _off_margins(
+        module, data.draw(st.integers(0, len(module) - 1)), data.draw(st.booleans())
+    )
+    for source, target in [(module, other), (other, module)]:
+        assert not source.can_relax_to(target)
+        assert not _keys_relax(pages[0], source, target)
+    # reduce_pages compares the margins itself and keeps the stranger
+    pair = sorted([module, other], key=FreeModule.tension)
+    assert reduce_pages(pair) == pair == _reduce_against_every_earlier_page(pair)
+
+
+@given(st.sampled_from(_KEY_SPACES + [(3, 7, 3)]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_reduce_pages_on_sublists_matches_every_earlier_page_rule(space, data):
+    pages, _ = _pages_and_closure(space)
+    chosen = data.draw(st.sets(st.integers(0, len(pages) - 1), min_size=1))
+    sub = [pages[i] for i in sorted(chosen)]
+    assert reduce_pages(sub) == _reduce_against_every_earlier_page(sub)
+
+
+def test_filter_page_with_other_margins_removes_every_candidate(monkeypatch):
+    pages = unique_e1_pages(3, 6, 3)
+    stranger = _off_margins(pages[-1], 0, True)
+    monkeypatch.setattr(search, "unique_e1_pages", lambda *a, **kw: [pages[0], stranger])
+    report = solve(3, 6, 3)
+    assert not any(stranger.can_relax_to(c) for c in report.candidates)
+    assert report.filter_log == [(1, list(range(len(report.states))))]
+    assert report.survivor_indices == []
+
+
 # sha256 of solve(k, p, q).to_json_bytes(), the compact encoding of the
 # report.  The CLI prints the same report with other separators; its bytes
 # are pinned by tests/test_cli.py::test_solve_deterministic_bytes.
@@ -264,6 +352,11 @@ SOLVE_GOLDEN_SHA256 = {
     (2, 8, 4): "d2de14f2b807b5e9f395619db41116cffe782f60528a023b3542587ceefbeba8",
     (3, 7, 2): "97aca8c54b11bef7dec09dd2cfb2d31ceaa749dcc403b345beadc04b0968d8bc",
     (2, 9, 4): "e783af22eb599ae238f7e94129a58f30b301f08d8b511fa69a7c8cbd31692ec0",
+    # the benchmark's spaces, where the filter and the page reduction do
+    # real work
+    (2, 11, 5): "98bd72f090c5a3d866f3de8975e12ac21dc0d23a066206f97f673850c125ee4d",
+    (2, 13, 6): "5c49ce0f4cbd54335bd406abf6d9d7ef4e84fa71332bd3753f7a83a0165920ce",
+    (4, 8, 2): "23ac3e235a484d8a6642778ff5a838658f15d6cd3b5973602bcef0f0c64ec1c1",
 }
 
 
@@ -309,18 +402,86 @@ def test_solve_is_deterministic():
 @pytest.mark.parametrize("space", [(3, 6, 3), (2, 8, 4), (3, 7, 2), (4, 8, 2)])
 def test_report_survivors_pass_every_filter_page(space):
     report = solve(*space)
+    cands = report.candidates
     filters = [report.pages[i] for i in report.filter_page_indices]
     assert report.survivor_indices == [
         i
-        for i, cand in enumerate(report.candidates)
+        for i, cand in enumerate(cands)
         if all(page.can_relax_to(cand) for page in filters)
     ]
-    # and the log only references live pages
-    for page_idx, removed in report.filter_log:
-        assert page_idx in report.filter_page_indices
-        assert removed
+    # and the log is the page-major filter's: each live page's removals
+    alive = list(range(len(report.states)))
+    log = []
+    for page_idx in report.filter_page_indices:
+        flags = [report.pages[page_idx].can_relax_to(cands[i]) for i in alive]
+        removed = [i for i, ok in zip(alive, flags) if not ok]
+        if removed:
+            log.append((page_idx, removed))
+            alive = [i for i, ok in zip(alive, flags) if ok]
+    assert report.filter_log == log
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.failure = "edited"
+
+
+@pytest.mark.parametrize("space", [(3, 6, 3), (4, 8, 2)])
+def test_report_decodes_candidates_on_access(space):
+    report = solve(*space)
+    cands = report.candidates
+    assert cands == candidate_outcomes(report.pages[0])
+    assert report.to_json()["candidates"] == [m.to_json() for m in cands]
+    assert report.survivors == [cands[i] for i in report.survivor_indices]
+
+
+def test_solve_heap_peak():
+    # The report keeps the closure's packed states; only what a caller
+    # asks for is decoded into modules.  Decoding all 7,776 candidates of
+    # (4,8,2) up front had a traced peak of about 6 MiB.
+    tracemalloc.start()
+    try:
+        report = solve(4, 8, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.states) == 7776
+    assert peak < 3 * (1 << 20)
+
+
+def test_closure_abort_builds_no_keys(monkeypatch):
+    def refuse(page0):
+        raise AssertionError("keys built after a closure abort")
+
+    monkeypatch.setattr(search, "_corner_keys", refuse)
+    report = solve(3, 6, 3, budget=Budget(max_modules=4))
+    assert report.failure == "candidate enumeration exceeded 4 modules"
+    assert report.pages and not report.states
+
+
+def _stop_clock_until(monkeypatch, name):
+    """Hold search's clock still, and move it on by 100 seconds each time
+    search.<name> returns."""
+    now = [0.0]
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    inner = getattr(search, name)
+
+    def then_jump(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        now[0] += 100.0
+        return result
+
+    monkeypatch.setattr(search, name, then_jump)
+
+
+@pytest.mark.parametrize(
+    "name, phase", [("_closure", "page reduction"), ("_kept_pages", "candidate filter")]
+)
+def test_time_budget_covers_reduction_and_filter(monkeypatch, name, phase):
+    _stop_clock_until(monkeypatch, name)
+    report = solve(3, 6, 3, budget=Budget(max_seconds=1.0))
+    assert report.incomplete
+    assert report.failure == f"{phase} exceeded 1.0 seconds"
+    assert report.pages and not report.states
+    code = run(["solve", "--k", "3", "--p", "6", "--q", "3", "--max-seconds", "1"])
+    assert code == EXIT_BUDGET
 
 
 def test_filter_order_does_not_change_survivors():
