@@ -53,10 +53,6 @@ class _SparsePoly:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -123,19 +119,14 @@ class BiPoly(_SparsePoly):
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent in term x^{i}y^{j}")
-                if c:
-                    clean[(i, j)] = c
+        for (i, j), c in (terms or {}).items():
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in term x^{i}y^{j}")
+            if c:
+                clean[(i, j)] = c
         object.__setattr__(self, "_terms", clean)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls({(0, 0): 1})
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff: int = 1) -> "BiPoly":
@@ -271,9 +262,7 @@ def kronholm_poly(n: int, s: int) -> BiPoly:
     """
     if n <= 0 or s <= 0:
         raise ValueError(f"kronholm_poly requires n >= 1 and s >= 1, got ({n}, {s})")
-    left = BiPoly({(0, 0): 1, (n, n): -1})
-    right = BiPoly({(0, s): 1, (0, 0): -1})
-    return left * right
+    return BiPoly({(0, 0): 1, (n, n): -1}) * BiPoly({(0, s): 1, (0, 0): -1})
 
 
 #: The fundamental shift polynomial K_{1,1}; it generates the ideal of
@@ -298,27 +287,18 @@ def parse_bipoly(text: str) -> BiPoly:
     compact = text.replace("*", "").replace(" ", "").replace("\t", "")
     if not compact:
         raise PolynomialParseError("empty polynomial text")
-    chunks = re.split(r"(?=[+-])", compact)
     terms: dict[tuple[int, int], int] = {}
-    for chunk in chunks:
-        if not chunk:
-            continue
-        sign = 1
-        body = chunk
-        if body[0] == "+":
-            body = body[1:]
-        elif body[0] == "-":
-            sign = -1
-            body = body[1:]
+    for chunk in filter(None, re.split(r"(?=[+-])", compact)):
+        sign = -1 if chunk[0] == "-" else 1
+        body = chunk[1:] if chunk[0] in "+-" else chunk
         if not body:
             raise PolynomialParseError(f"dangling sign in {text!r}")
         m = _TERM_RE.match(body)
         if not m or not (m.group("coef") or "x" in body or "y" in body):
             raise PolynomialParseError(f"unparseable term {chunk!r}")
         coef = int(m.group("coef") or 1) * sign
-        xe = m.group("xe")
-        ye = m.group("ye")
-        i = int(xe) if xe is not None else (1 if "x" in body else 0)
-        j = int(ye) if ye is not None else (1 if "y" in body else 0)
+        # An exponent's digits, else 1 or 0 as the variable is there or not.
+        i = int(m.group("xe") or "x" in body)
+        j = int(m.group("ye") or "y" in body)
         terms[(i, j)] = terms.get((i, j), 0) + coef
     return BiPoly(terms)

@@ -108,7 +108,8 @@ def _add_budget(parser):
         "--max-modules",
         type=_nonnegative(int),
         default=DEFAULT_MAX_MODULES,
-        help="candidate enumeration cap (default %(default)s)",
+        help="candidate enumeration cap, checked against a count of the first "
+        "page's down-set made before the search (default %(default)s)",
     )
     parser.add_argument(
         "--max-words",
@@ -120,7 +121,8 @@ def _add_budget(parser):
         "--max-seconds",
         type=_nonnegative(float),
         default=None,
-        help="wall-clock cap for candidate enumeration, and for solve's page reduction and filter",
+        help="wall-clock cap for candidate enumeration (the count, the cells and the "
+        "search), and for solve's census, page reduction and filter as well",
     )
 
 

@@ -15,8 +15,7 @@ from .bipoly import BiPoly, parse_bipoly
 from .modalg import FreeModule
 
 
-def _mod(counts: dict[tuple[int, int], int]) -> FreeModule:
-    return FreeModule.from_counts(counts)
+_mod = FreeModule.from_counts
 
 
 #: Unique answers the solver must reproduce exactly, keyed by (k, p, q).

@@ -14,6 +14,7 @@ division in ``shift_story`` is its independent oracle in the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate, chain
 from typing import Iterable
 
@@ -99,10 +100,7 @@ class FreeModule:
         return self._gens
 
     def counts(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for g in self._gens:
-            out[g] = out.get(g, 0) + 1
-        return out
+        return dict(Counter(self._gens))
 
     def __len__(self) -> int:
         return len(self._gens)
@@ -214,10 +212,7 @@ class FreeModule:
     # -- encodings ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        gens_json = [
-            [a, b, k] for (a, b), k in sorted(self.counts().items())
-        ]
-        return {"generators": gens_json}
+        return {"generators": [[a, b, k] for (a, b), k in sorted(self.counts().items())]}
 
     @classmethod
     def from_json(cls, data: dict) -> "FreeModule":
@@ -243,8 +238,7 @@ def module_from_poly(f: BiPoly) -> FreeModule:
     if bad:
         monos = ", ".join(f"x^{i}y^{j}" for i, j in bad)
         raise ValueError(f"negative coefficient on {monos}: not a module")
-    counts = {e: c for e, c in f.terms()}
-    return FreeModule.from_counts(counts)
+    return FreeModule.from_counts(dict(f.terms()))
 
 
 def render_rank_table(module: FreeModule) -> str:
@@ -260,10 +254,7 @@ def render_rank_table(module: FreeModule) -> str:
         return ""
     max_a = max(a for a, _ in counts)
     max_b = max(b for _, b in counts)
-    width = max(
-        max(len(str(k)) for k in counts.values()),
-        len(str(max_a)),
-    )
+    width = max(len(str(max_a)), *(len(str(k)) for k in counts.values()))
     label_w = len(str(max_b))
     lines = []
     for b in range(max_b, -1, -1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .bipoly import UniPoly
@@ -33,11 +33,8 @@ def gaussian_binomial(p: int, k: int) -> UniPoly:
     Counting cells by dimension keeps this independent of both the
     bigraded bookkeeping and the product formula for q-binomials.
     """
-    terms: dict[int, int] = {}
-    for pivots in enumerate_cells(k, p):
-        d = sum(c - i for i, c in enumerate(pivots, 1))
-        terms[d] = terms.get(d, 0) + 1
-    return UniPoly(terms)
+    cells = enumerate_cells(k, p)
+    return UniPoly(Counter(sum(c - i for i, c in enumerate(pivots, 1)) for pivots in cells))
 
 
 def fixed_set_poincare(k: int, p: int, q: int) -> UniPoly:
@@ -49,10 +46,8 @@ def fixed_set_poincare(k: int, p: int, q: int) -> UniPoly:
     """
     if not (0 <= q <= p and 0 <= k <= p):
         raise ValueError(f"need 0 <= k, q <= p, got k={k}, p={p}, q={q}")
-    total = UniPoly.zero()
-    for j in range(0, k + 1):
-        if j > p - q or k - j > q:
-            continue
+    total = UniPoly()
+    for j in range(max(0, k - q), min(k, p - q) + 1):
         total = total + gaussian_binomial(p - q, j) * gaussian_binomial(q, k - j)
     return total
 
@@ -129,24 +124,14 @@ def validate_page(module: FreeModule, k: int, p: int, q: int) -> PageDiagnostics
     Shifts preserve all three invariants, so candidate answers must pass
     the same checks as first pages.
     """
-    messages = []
     poly = module.poincare()
-    expected_u = gaussian_binomial(p, k)
-    got_u = poly.underlying()
-    underlying_ok = got_u == expected_u
-    if not underlying_ok:
-        messages.append(f"underlying: expected {expected_u}, got {got_u}")
-    expected_f = fixed_set_poincare(k, p, q)
-    got_f = poly.fixed_points()
-    fixed_ok = got_f == expected_f
-    if not fixed_ok:
-        messages.append(f"fixed set: expected {expected_f}, got {got_f}")
-    expected_w = total_weight_formula(k, p, q)
-    got_w = module.total_weight()
-    weight_ok = got_w == expected_w
-    if not weight_ok:
-        messages.append(f"total weight: expected {expected_w}, got {got_w}")
-    return PageDiagnostics(underlying_ok, fixed_ok, weight_ok, messages)
+    checks = [
+        ("underlying", gaussian_binomial(p, k), poly.underlying()),
+        ("fixed set", fixed_set_poincare(k, p, q), poly.fixed_points()),
+        ("total weight", total_weight_formula(k, p, q), module.total_weight()),
+    ]
+    messages = [f"{name}: expected {want}, got {got}" for name, want, got in checks if want != got]
+    return PageDiagnostics(*(want == got for _, want, got in checks), messages)
 
 
 def overcount_total_weight(p: int, k: int, q: int) -> tuple[int, int]:

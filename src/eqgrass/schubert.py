@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import getitem
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .modalg import FreeModule
 
@@ -50,15 +50,10 @@ class SignWord:
 
     @classmethod
     def from_string(cls, text: str) -> "SignWord":
-        signs = []
-        for ch in text:
-            if ch == "+":
-                signs.append(False)
-            elif ch == "-":
-                signs.append(True)
-            else:
-                raise ValueError(f"sign word may contain only '+'/'-', got {ch!r}")
-        return cls(tuple(signs))
+        bad = [ch for ch in text if ch not in "+-"]
+        if bad:
+            raise ValueError(f"sign word may contain only '+'/'-', got {bad[0]!r}")
+        return cls(tuple(ch == "-" for ch in text))
 
     @property
     def p(self) -> int:
@@ -74,9 +69,6 @@ class SignWord:
     @property
     def mask(self) -> int:
         return sum(1 << j for j, s in enumerate(self.signs) if s)
-
-    def prefix(self, m: int) -> "SignWord":
-        return SignWord(self.signs[:m])
 
 
 def enumerate_cells(k: int, p: int) -> list[tuple[int, ...]]:
@@ -144,25 +136,20 @@ def _sign_positions(p: int, q: int) -> Iterable[tuple[int, ...]]:
 
 def sign_words(p: int, q: int) -> list[SignWord]:
     """All C(p, q) words with q sign letters, in lexicographic order."""
-    words = []
-    for minus_positions in _sign_positions(p, q):
-        signs = [False] * p
-        for i in minus_positions:
-            signs[i] = True
-        words.append(SignWord(tuple(signs)))
-    return words
+    return [SignWord(tuple(i in signs for i in range(p))) for signs in _sign_positions(p, q)]
 
 
 def unique_e1_pages(
-    k: int, p: int, q: int, max_words: int | None = None
+    k: int, p: int, q: int, max_words: int | None = None, tick: Callable | None = None
 ) -> list[FreeModule]:
     """Deduplicated first pages over all sign words, sorted by tension
     ascending (ties broken by canonical module order).
 
     ``max_words`` caps how many of the C(p, q) sign words get examined;
     exceeding it raises BudgetExceededError rather than churning on a
-    space whose downstream search is out of reach anyway.  No word list
-    is built: each word is visited as a mask.
+    space whose downstream search is out of reach anyway.  ``tick``, if
+    given, is called after each word and may raise to stop the census.
+    No word list is built: each word is visited as a mask.
     """
     # Counted before any word is built; _sign_positions rejects a bad q.
     n_words = math.comb(p, q) if 0 <= q <= p else 0
@@ -176,6 +163,8 @@ def unique_e1_pages(
     seen: set[FreeModule] = set()
     for signs in positions:
         seen.add(FreeModule(_bidegrees(gens, rows, k, sum(1 << j for j in signs))))
+        if tick is not None:
+            tick()
     return sorted(seen, key=lambda m: (m.tension(), m.gens))
 
 

@@ -25,8 +25,9 @@ table over (row, e = a - b) cells packed into one int, a field per cell,
 and a move, which swaps two values of e, changes four fields.  Every
 move strictly decreases tension, so the closure is finite and always
 runs to the end.  ``oracle.closure_oracle`` is its slow reference.
-The time budget runs from the start of ``solve`` and covers building
-the cells, the closure, the reduction and the filter.
+The module cap is checked against a count, made before the search, of
+page 0's down-set, which holds the closure (``_count_down_set``).  The
+time budget runs from the start of ``solve`` and covers every phase.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ import json
 import sys
 import time
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
-from operator import mul
+from functools import cached_property, partial
+from itertools import accumulate, chain, groupby, repeat
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .modalg import FreeModule, possible_differentials, shift_result
@@ -50,7 +53,6 @@ DEFAULT_MAX_WORDS = 2_000
 # The closure is the only candidate generation.  Reports record it as
 # {"kind": "closure", "depth": null}, which keeps their bytes unchanged.
 DEFAULT_STRATEGY = "closure"
-_STRATEGY_JSON = {"kind": DEFAULT_STRATEGY, "depth": None}
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,11 @@ class Budget:
     """Caps that turn a runaway search into a clean abort.
 
     ``max_modules`` bounds the number of distinct modules a candidate
-    enumeration may visit; ``max_words`` bounds the number of sign words
-    a page enumeration may examine; ``max_seconds`` optionally bounds
-    wall-clock time for a candidate enumeration or a ``solve``.  Any cap
-    may be None for unlimited.
+    enumeration may visit, checked on a count made before the search;
+    ``max_words`` bounds the number of sign words a page enumeration may
+    examine; ``max_seconds`` optionally bounds wall-clock time for a
+    candidate enumeration or a ``solve``.  Any cap may be None for
+    unlimited.
     """
 
     max_modules: int | None = DEFAULT_MAX_MODULES
@@ -98,7 +101,10 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     # coordinates e = a - b a move swaps e1 in row a with a smaller e2 in a
     # higher row, so it is -1, -1, +1, +1 on four fields' units, and a
     # state tries only the moves between its live cells.  One cell can
-    # gather up to len(module) generators, which sets the width.
+    # gather up to len(module) generators, which sets the width.  The walk
+    # cannot pass the module cap once the down-set holding it is counted.
+    if budget.max_modules is not None:
+        _check_cap(_count_down_set(module, budget, began), budget)
     cells = set(module.gens)
     while True:
         _check_clock(began, budget, "candidate enumeration")
@@ -124,9 +130,6 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     start = sum(units[index[gen]] for gen in module.gens)
     seen = {start}
     frontier = deque([start])
-    max_modules = budget.max_modules
-    if max_modules is not None and len(seen) > max_modules:
-        raise BudgetExceededError(f"candidate enumeration exceeded {max_modules} modules")
     while frontier:
         _check_clock(began, budget, "candidate enumeration")
         state = frontier.popleft()
@@ -141,15 +144,60 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
                 if child in seen:
                     continue
                 seen.add(child)
-                if max_modules is not None and len(seen) > max_modules:
-                    raise BudgetExceededError(
-                        f"candidate enumeration exceeded {max_modules} modules"
-                    )
                 frontier.append(child)
     # A module with more generators in the first differing cell is the
     # smaller one, and its table the larger int, so descending states
     # give the canonical order.
     return cells, sorted(seen, reverse=True)
+
+
+def _count_down_set(page0: FreeModule, budget: Budget, began: float = 0.0) -> int:
+    """The size of page0's down-set, which holds its closure: the tables over
+    (a, e = a - b) with page0's margins, b >= 0 and at least its count in each
+    corner {a <= i, e <= t}.  Raises once the count passes the module cap."""
+    # Rows go in degree order, each one e at a time.  A state is the column
+    # totals so far, packed ``width`` bits each, the row's corner sum so far
+    # and what the row has left; equal states merge.  Every state extends
+    # to a table, so the running count is a lower bound: the lower limit
+    # leaves the row room, filling its lowest open columns keeps its
+    # corners, and later rows keep theirs when given the remaining e in
+    # ascending order.  A finished row keeps its later corners too.
+    es = _margins(page0)[1]
+    cols = sorted(set(es))
+    sums = [es.count(e) for e in cols]
+    width = len(es).bit_length()
+    mask = (1 << width) - 1
+    full = sum(n << width * k for k, n in enumerate(sums))
+    floor = [0] * len(cols)  # page0's column totals over the rows so far
+    states = {(0, 0, 0): 1}
+    for a, row in groupby(page0.gens, itemgetter(0)):
+        row = [cols.index(a - b) for _, b in row]
+        for k in row:
+            floor[k] += 1
+        need = list(accumulate(floor))  # page0's corners in this row
+        top = bisect_right(cols, a)
+        # Columns full in every state pass their corners: start after them.
+        start = min(((full - s) & (s - full)).bit_length() - 1 for s, _, _ in states) // width
+        free = sum(sums[start:top])  # places in the columns after k, below top
+        states = {(s, sum(sums[:start]), len(row)): n for (s, _, _), n in states.items()}
+        for k in range(start, top):
+            _check_clock(began, budget, "candidate enumeration")
+            free -= sums[k]
+            after: dict[tuple, int] = {}
+            for (state, run, left), n in states.items():
+                have = state >> width * k & mask
+                corner = run + have
+                # all placed generators lie left of top, so the row has
+                # free - (need[-1] - left - corner) places after k
+                lo = max(0, need[-1] - free - corner, need[k] - corner)
+                for x in range(lo, min(left, sums[k] - have) + 1):
+                    key = (state + (x << width * k), corner + x, left - x)
+                    after[key] = after.get(key, 0) + n
+            states = after
+            _check_cap(sum(after.values()), budget)
+            if not any(left for _, _, left in states):
+                break
+    return sum(states.values())
 
 
 def _typecode(size: int) -> str:
@@ -174,6 +222,11 @@ def _module(cells: list, table: Sequence[int]) -> FreeModule:
 def _check_clock(began: float, budget: Budget, phase: str) -> None:
     if budget.max_seconds is not None and time.monotonic() - began > budget.max_seconds:
         raise BudgetExceededError(f"{phase} exceeded {budget.max_seconds} seconds")
+
+
+def _check_cap(modules: int, budget: Budget) -> None:
+    if budget.max_modules is not None and modules > budget.max_modules:
+        raise BudgetExceededError(f"candidate enumeration exceeded {budget.max_modules} modules")
 
 
 def _margins(module: FreeModule) -> tuple[list[int], list[int]]:
@@ -253,7 +306,7 @@ def subspace_filter(
 @dataclass(frozen=True)
 class SolveReport:
     """Full trace of one solver run, built once by ``solve``; byte-stable JSON.
-    The candidates, ``pages[0]``'s closure, are decoded from ``states`` on access."""
+    The candidates, ``pages[0]``'s closure, are decoded from ``states`` once."""
 
     k: int
     p: int
@@ -274,7 +327,7 @@ class SolveReport:
     def _unpack(self, states: Iterable[int]) -> Iterator[array]:
         return _tables(self.cells, states, len(self.pages[0]) if self.pages else 0)
 
-    @property
+    @cached_property
     def candidates(self) -> list[FreeModule]:
         return [_module(self.cells, table) for table in self._unpack(self.states)]
 
@@ -290,7 +343,7 @@ class SolveReport:
         # table gives FreeModule.to_json's list.
         return {
             "parameters": {"k": self.k, "p": self.p, "q": self.q},
-            "strategy": dict(_STRATEGY_JSON),
+            "strategy": {"kind": DEFAULT_STRATEGY, "depth": None},
             "pages": [m.to_json() for m in self.pages],
             "tensions": [m.tension() for m in self.pages],
             "chosen": 0,
@@ -322,8 +375,8 @@ def solve(
     Deterministic for fixed arguments.  The search runs in this process,
     and ``jobs`` may only be 1.  Budget exhaustion produces a partial
     report whose ``failure`` names the cap instead of an exception;
-    ``max_seconds`` runs from the call and covers the closure, the page
-    reduction and the filter.
+    ``max_seconds`` runs from the call and covers the sign-word census,
+    the count, the closure, the page reduction and the filter.
     """
     check_parameters(k, p, q)
     if jobs != 1:
@@ -331,7 +384,9 @@ def solve(
     began = time.monotonic()
     pages: list[FreeModule] = []
     try:
-        pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
+        tick = partial(_check_clock, began, budget, "sign-word census")
+        pages = unique_e1_pages(k, p, q, budget.max_words,
+                                None if budget.max_seconds is None else tick)
         cells, states = _closure(pages[0], budget, began)
         # Pages that can shift to any other page are redundant: the
         # target page filters at least as hard.  Page 0, the closure's

@@ -207,7 +207,7 @@ def test_quotient_partitions_the_page(data):
     word = data.draw(st.sampled_from(sign_words(p, q)))
     m = data.draw(st.integers(k, p - 1))
     whole = e1_page(k, word).poincare()
-    sub = e1_page(k, word.prefix(m)).poincare()
+    sub = e1_page(k, SignWord(word.signs[:m])).poincare()
     quot = e1_quotient_page(k, word, m).poincare()
     assert whole == sub + quot
 

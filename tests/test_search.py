@@ -203,7 +203,8 @@ def test_time_budget_covers_cell_closure(monkeypatch):
 
 def test_time_budget_covers_the_search(monkeypatch):
     # A clock that ticks one second per read trips on the 12th read, after
-    # the few rounds that build the cells: in the search itself.
+    # the few rounds that build the cells: in the search itself.  With no
+    # module cap the down-set is not counted, so the count reads no clock.
     ticks = count()
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
     rounds = []
@@ -211,22 +212,73 @@ def test_time_budget_covers_the_search(monkeypatch):
     monkeypatch.setattr(search, "possible_differentials", lambda cells: rounds.append(1) or lister(cells))
     page = unique_e1_pages(3, 6, 3)[0]
     with pytest.raises(BudgetExceededError, match="candidate enumeration exceeded 10 seconds"):
+        candidate_outcomes(page, budget=Budget(max_modules=None, max_seconds=10))
+    assert 0 < len(rounds) < 10
+
+
+def test_time_budget_covers_the_count(monkeypatch):
+    # The same clock trips in the count, which reads it once per step,
+    # before the first round of cells.
+    ticks = count()
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    monkeypatch.setattr(search, "possible_differentials", _refuse_moves)
+    page = unique_e1_pages(4, 8, 3)[0]
+    with pytest.raises(BudgetExceededError, match="candidate enumeration exceeded 10 seconds"):
         candidate_outcomes(page, budget=Budget(max_seconds=10))
-    assert len(rounds) < 10
+
+
+def _refuse_moves(cells):
+    raise AssertionError("moves listed after the count passed the cap")
 
 
 def test_module_budget_memory_before_abort():
-    # The cells and their moves are built before the module cap is
-    # checked; this pins what that costs on a start whose cells grow.
-    page = FreeModule([(a, 2 * a) for a in range(20)])
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError, match="exceeded 1000 modules"):
-            candidate_outcomes(page, budget=Budget(max_modules=1000))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * (1 << 20)
+    # The count aborts before any cell, move or state is built, though the
+    # cells of these starts grow as n**2 and the moves over them faster: at
+    # n = 40 building them first took 2.5 s and over 250 MiB.  The count
+    # holds at most max_modules states; traced peaks were 0.12 and 0.19 MiB.
+    for n in (20, 40):
+        page = FreeModule([(a, 2 * a) for a in range(n)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="exceeded 1000 modules"):
+                candidate_outcomes(page, budget=Budget(max_modules=1000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "space",
+    [(k, p, q) for p in range(2, 7) for k in range(1, p) for q in range(p + 1)]
+    + [(4, 8, 2), (2, 13, 6)],
+)
+def test_count_down_set_matches_closure_on_first_page(space):
+    page = unique_e1_pages(*space)[0]
+    closure = candidate_outcomes(page, budget=Budget(max_modules=None))
+    assert search._count_down_set(page, Budget(max_modules=None)) == len(closure)
+
+
+@given(hand_modules)
+@settings(max_examples=500, deadline=None)
+def test_count_down_set_matches_oracle_and_caps_exactly(module):
+    size = len(closure_oracle(module))
+    assert search._count_down_set(module, Budget(max_modules=None)) == size
+    for cap in (size - 1, size, size + 1):
+        try:
+            candidate_outcomes(module, budget=Budget(max_modules=cap))
+        except BudgetExceededError:
+            assert size > cap
+        else:
+            assert size <= cap
+
+
+def test_over_cap_solve_builds_no_cells(monkeypatch):
+    # (4,8,3)'s down-set holds 2,492,832 tables, over the default cap.
+    monkeypatch.setattr(search, "possible_differentials", _refuse_moves)
+    report = solve(4, 8, 3)
+    assert report.failure == "candidate enumeration exceeded 1000000 modules"
+    assert report.pages and not report.cells and not report.states
 
 
 def test_reduce_pages_gr131():
@@ -427,6 +479,9 @@ def test_report_survivors_pass_every_filter_page(space):
 def test_report_decodes_candidates_on_access(space):
     report = solve(*space)
     cands = report.candidates
+    assert report.candidates is cands  # decoded once, then cached
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.states = []
     assert cands == candidate_outcomes(report.pages[0])
     assert report.to_json()["candidates"] == [m.to_json() for m in cands]
     assert report.survivors == [cands[i] for i in report.survivor_indices]
@@ -482,6 +537,29 @@ def test_time_budget_covers_reduction_and_filter(monkeypatch, name, phase):
     assert report.pages and not report.states
     code = run(["solve", "--k", "3", "--p", "6", "--q", "3", "--max-seconds", "1"])
     assert code == EXIT_BUDGET
+
+
+def test_time_budget_covers_the_census(monkeypatch):
+    # The clock reads 0 when the solve starts and 100 after that, so the
+    # check after the first sign word trips.
+    def late_clock():
+        clock = iter([0.0])
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(clock, 100.0)))
+
+    late_clock()
+    report = solve(2, 8, 4, budget=Budget(max_seconds=1.0))
+    assert report.failure == "sign-word census exceeded 1.0 seconds"
+    assert not report.pages
+    late_clock()
+    code = run(["solve", "--k", "2", "--p", "8", "--q", "4", "--max-seconds", "1"])
+    assert code == EXIT_BUDGET
+
+
+def test_solve_reads_the_clock_once_without_a_deadline(monkeypatch):
+    reads = []
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: reads.append(1) or 0.0))
+    solve(2, 8, 4)
+    assert len(reads) == 1
 
 
 def test_filter_order_does_not_change_survivors():
