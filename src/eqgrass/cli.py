@@ -30,7 +30,7 @@ from .search import (
     BudgetExceededError,
     DEFAULT_MAX_MODULES,
     DEFAULT_MAX_WORDS,
-    candidate_outcomes,
+    SolveReport,
     solve,
 )
 
@@ -103,6 +103,15 @@ def _nonnegative(convert):
     return parse
 
 
+def _add_max_words(parser):
+    parser.add_argument(
+        "--max-words",
+        type=_nonnegative(int),
+        default=DEFAULT_MAX_WORDS,
+        help="cap on the sign words the census examines (default %(default)s)",
+    )
+
+
 def _add_budget(parser):
     parser.add_argument(
         "--max-modules",
@@ -111,18 +120,13 @@ def _add_budget(parser):
         help="candidate enumeration cap, checked against a count of the first "
         "page's down-set made before the search (default %(default)s)",
     )
-    parser.add_argument(
-        "--max-words",
-        type=_nonnegative(int),
-        default=DEFAULT_MAX_WORDS,
-        help="sign word cap for page enumeration (default %(default)s)",
-    )
+    _add_max_words(parser)
     parser.add_argument(
         "--max-seconds",
         type=_nonnegative(float),
         default=None,
-        help="wall-clock cap for candidate enumeration (the count, the cells and the "
-        "search), and for solve's census, page reduction and filter as well",
+        help="wall-clock cap from the start of the census through the count, the "
+        "closure, the page reduction and the filter",
     )
 
 
@@ -140,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pages = sub.add_parser("pages", help="distinct first pages over all sign words")
     _add_kpq(p_pages)
-    _add_budget(p_pages)
+    _add_max_words(p_pages)
     _add_format(p_pages, default="poly")
 
     p_cand = sub.add_parser(
@@ -187,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget_from(args) -> Budget:
-    return Budget(
-        max_modules=args.max_modules,
-        max_words=args.max_words,
-        max_seconds=args.max_seconds,
-    )
+def _solve(args, k: int, p: int, q: int) -> SolveReport:
+    """``solve`` under the command's budget; an incomplete report raises."""
+    report = solve(k, p, q, Budget(args.max_modules, args.max_words, args.max_seconds))
+    if report.incomplete:
+        raise BudgetExceededError(report.failure)
+    return report
 
 
 def _cmd_e1(args, out) -> int:
@@ -222,9 +226,7 @@ def _cmd_pages(args, out) -> int:
 
 def _cmd_candidates(args, out) -> int:
     _check_kpq(args.k, args.p, args.q)
-    budget = _budget_from(args)
-    pages = unique_e1_pages(args.k, args.p, args.q, max_words=budget.max_words)
-    cands = candidate_outcomes(pages[0], budget=budget)
+    cands = _solve(args, args.k, args.p, args.q).candidates
     if args.format == "json":
         payload = {"count": len(cands), "candidates": [m.to_json() for m in cands]}
         out.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -244,9 +246,7 @@ def _cmd_solve(args, out) -> int:
             print(f"normalized (k={k}, p={p}, q={q}) to (k={nk}, p={np_}, q={nq})",
                   file=sys.stderr)
         k, p, q = nk, np_, nq
-    report = solve(k, p, q, budget=_budget_from(args))
-    if report.incomplete:
-        raise BudgetExceededError(report.failure)
+    report = _solve(args, k, p, q)
     if args.format == "json":
         out.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
     else:

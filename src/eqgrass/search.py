@@ -151,7 +151,7 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     return cells, sorted(seen, reverse=True)
 
 
-def _count_down_set(page0: FreeModule, budget: Budget, began: float = 0.0) -> int:
+def _count_down_set(page0: FreeModule, budget: Budget, began: float) -> int:
     """The size of page0's down-set, which holds its closure: the tables over
     (a, e = a - b) with page0's margins, b >= 0 and at least its count in each
     corner {a <= i, e <= t}.  Raises once the count passes the module cap."""
@@ -261,19 +261,15 @@ def _corner_keys(page0: FreeModule) -> tuple[int, Callable]:
     return key([(rows[0], rows[0] - cols[0])]) << width - 1 if rows else 0, key
 
 
-def _kept_pages(
-    pages: Sequence[FreeModule], budget: Budget = DEFAULT_BUDGET, began: float = 0.0
-) -> tuple[int, Callable, list[tuple[int, int | None]]]:
-    """``_corner_keys(pages[0])`` and the (index, key) of each kept page; a
-    page without page 0's margins relaxes to no other, and its key is None."""
+def _kept_pages(pages: Sequence[FreeModule], budget: Budget, began: float) -> tuple:
+    """``_corner_keys(pages[0])`` and the (index, key) of each kept page;
+    every page must have page 0's margins, as the pages of one census do."""
     guard, key = _corner_keys(pages[0])
-    margins = _margins(pages[0])
     kept = []
     for i, page in enumerate(pages):
         _check_clock(began, budget, "page reduction")
-        page_key = key(page.gens) if _margins(page) == margins else None
-        targets = (target for _, target in kept if target is not None)
-        if page_key is None or not any(((t | guard) - page_key) & guard == guard for t in targets):
+        page_key = key(page.gens)
+        if not any(((t | guard) - page_key) & guard == guard for _, t in kept):
             kept.append((i, page_key))
     return guard, key, kept
 
@@ -287,9 +283,12 @@ def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
     so only earlier pages can be targets, and the first page is always
     kept.  Each page is checked against the kept pages only: relaxation
     is transitive, so the result is the same as checking every earlier
-    page.  A page without the first page's margins is always kept.
+    page.  A page with other margins than the first raises ``ValueError``.
     """
-    return [pages[i] for i, _ in _kept_pages(pages)[2]] if pages else []
+    margins = _margins(pages[0]) if pages else None
+    if any(_margins(page) != margins for page in pages):
+        raise ValueError("every page must have the first page's degrees and values of e")
+    return [pages[i] for i, _ in _kept_pages(pages, DEFAULT_BUDGET, 0.0)[2]] if pages else []
 
 
 def subspace_filter(
@@ -403,7 +402,7 @@ def solve(
             _check_clock(began, budget, "candidate filter")
             cand = sum(map(mul, table, units))
             for i, page_key in filters:  # filed under the first page it fails
-                if page_key is None or ((cand | guard) - page_key) & guard != guard:
+                if ((cand | guard) - page_key) & guard != guard:
                     removed[i].append(c)
                     break
             else:

@@ -92,6 +92,24 @@ def test_inconsistent_kpq_exit_2(capsys):
     assert "k=4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["e1", "--k", "4", "--word", "+-+"], "k=4 out of range for a length-3 word"),
+        (["quotient", "--k", "5", "--word", "++-", "--m", "1"],
+         "k=5 out of range for a length-3 word"),
+        (["quotient", "--k", "1", "--word", "++-", "--m", "3"],
+         "m=3 out of range: need 0 <= m < 3"),
+        (["validate", "--k", "1", "--p", "3", "--q", "1", "--word", "++--"],
+         "word '++--' has (p, q) = (4, 2), not (3, 1)"),
+    ],
+    ids=["e1-k", "quotient-k", "quotient-m", "validate-word"],
+)
+def test_word_out_of_range_exit_2(argv, error, capsys):
+    assert invoke(argv) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_unknown_subcommand_exit_2(capsys):
     code, _ = invoke(["rotate", "--k", "1"])
     assert code == EXIT_USAGE
@@ -107,6 +125,8 @@ def test_unknown_subcommand_exit_2(capsys):
         ["solve", "--cache-dir", "X"],
         ["candidates", "--strategy", "matchings"],
         ["candidates", "--depth", "2"],
+        ["pages", "--max-modules", "5"],
+        ["pages", "--max-seconds", "1"],
     ],
     ids=" ".join,
 )
@@ -124,6 +144,48 @@ def test_pages_poly_format():
         "# page 1: tension 6\n"
         "x^2y^2 + x + 1\n"
     )
+
+
+def test_pages_json_format():
+    code, text = invoke(["pages", "--k", "1", "--p", "3", "--q", "1", "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(text) == {
+        "count": 2,
+        "pages": [
+            {"generators": [[0, 0, 1], [1, 1, 1], [2, 1, 1]]},
+            {"generators": [[0, 0, 1], [1, 0, 1], [2, 2, 1]]},
+        ],
+        "tensions": [5, 6],
+    }
+
+
+# sha256 of the stdout of `candidates` in each format; every exit code is 0.
+CANDIDATES_STDOUT_SHA256 = {
+    ((1, 3, 1), "json"): "bc67b38abd44230cd3f300f88baa039edf6950a33d79a6ffb0c15330e72dc01e",
+    ((1, 3, 1), "poly"): "849ea32f65fdd78b440a4d2b25a1056d06850d127617bd531fadbfbb8efbe869",
+    ((1, 3, 1), "table"): "cef30787c4395ae7009a54198b066f88c55c8b3074c6ae87224cfbeda4e9cffd",
+    ((3, 6, 3), "json"): "40361c7969962972c96a7c5806bba76bf18f9f5de562172d93f1bc2b9a8a0d02",
+    ((3, 6, 3), "poly"): "b2f543cce8d6fb250f8bbb9bc6a1d1beeab6e6a6dc7868babbe6dc12c98c4a17",
+    ((3, 6, 3), "table"): "adbf006df02dbef5f6359edab412fcf84b051ffa0facb3451882f29f56074605",
+    ((3, 7, 2), "json"): "be1e2adedec9230efc261764c611a552021bc37cd950b75aa9997dfd95a2cb30",
+    ((3, 7, 2), "poly"): "0210eb2bfdea410bfaa826a1b04f9e9427792729e3b364dc716c228b6c08446f",
+    ((3, 7, 2), "table"): "dbc0438885aed25be1468b5295ce4a191e2f33996a404937eae557bba6d4631b",
+    ((2, 8, 4), "json"): "7f1b2dac8f35d08bf47349f3d16d82423133fd8b0c2d7500117e2ca6f52dea62",
+    ((2, 8, 4), "poly"): "33ef29f7e96a1bb090d620e54b8d7b82a063ee6389780be5d5bc482dbe569f3c",
+    ((2, 8, 4), "table"): "26d86cc1e8b39554b99b3bdbc3558cfb63f6565dcd961a4d238c51f92772db27",
+}
+
+
+@pytest.mark.parametrize(
+    "space, fmt",
+    sorted(CANDIDATES_STDOUT_SHA256),
+    ids=lambda v: v if isinstance(v, str) else "%d-%d-%d" % v,
+)
+def test_candidates_deterministic_bytes(space, fmt):
+    k, p, q = map(str, space)
+    code, text = invoke(["candidates", "--k", k, "--p", p, "--q", q, "--format", fmt])
+    assert code == EXIT_OK
+    assert hashlib.sha256(text.encode()).hexdigest() == CANDIDATES_STDOUT_SHA256[space, fmt]
 
 
 def test_candidates_count_line():

@@ -1,7 +1,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
-from functools import cache
+from functools import cache, reduce
 from itertools import count, permutations
 from types import SimpleNamespace
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqgrass.bipoly import BiPoly, parse_bipoly
-from eqgrass.modalg import FreeModule
+from eqgrass.modalg import FreeModule, shift_result
 from eqgrass.oracle import closure_oracle
 from eqgrass import search
 from eqgrass.schubert import SignWord, e1_page, sign_words, unique_e1_pages
@@ -256,14 +256,14 @@ def test_module_budget_memory_before_abort():
 def test_count_down_set_matches_closure_on_first_page(space):
     page = unique_e1_pages(*space)[0]
     closure = candidate_outcomes(page, budget=Budget(max_modules=None))
-    assert search._count_down_set(page, Budget(max_modules=None)) == len(closure)
+    assert search._count_down_set(page, Budget(max_modules=None), 0.0) == len(closure)
 
 
 @given(hand_modules)
 @settings(max_examples=500, deadline=None)
 def test_count_down_set_matches_oracle_and_caps_exactly(module):
     size = len(closure_oracle(module))
-    assert search._count_down_set(module, Budget(max_modules=None)) == size
+    assert search._count_down_set(module, Budget(max_modules=None), 0.0) == size
     for cap in (size - 1, size, size + 1):
         try:
             candidate_outcomes(module, budget=Budget(max_modules=cap))
@@ -370,9 +370,10 @@ def test_corner_keys_refuse_other_margins(space, data):
     for source, target in [(module, other), (other, module)]:
         assert not source.can_relax_to(target)
         assert not _keys_relax(pages[0], source, target)
-    # reduce_pages compares the margins itself and keeps the stranger
+    # reduce_pages compares the margins once and refuses the stranger
     pair = sorted([module, other], key=FreeModule.tension)
-    assert reduce_pages(pair) == pair == _reduce_against_every_earlier_page(pair)
+    with pytest.raises(ValueError, match="degrees and values of e"):
+        reduce_pages(pair)
 
 
 @given(st.sampled_from(_KEY_SPACES + [(3, 7, 3)]), st.data())
@@ -384,14 +385,58 @@ def test_reduce_pages_on_sublists_matches_every_earlier_page_rule(space, data):
     assert reduce_pages(sub) == _reduce_against_every_earlier_page(sub)
 
 
-def test_filter_page_with_other_margins_removes_every_candidate(monkeypatch):
-    pages = unique_e1_pages(3, 6, 3)
-    stranger = _off_margins(pages[-1], 0, True)
-    monkeypatch.setattr(search, "unique_e1_pages", lambda *a, **kw: [pages[0], stranger])
-    report = solve(3, 6, 3)
-    assert not any(stranger.can_relax_to(c) for c in report.candidates)
-    assert report.filter_log == [(1, list(range(len(report.states))))]
-    assert report.survivor_indices == []
+@pytest.mark.parametrize(
+    "space",
+    [(k, p, q) for p in range(2, 10) for k in range(1, p) for q in range(p + 1)]
+    + [(2, 11, 5), (2, 13, 6), (4, 8, 2), (4, 8, 3)],
+)
+def test_census_pages_share_page0_margins(space):
+    # solve's page reduction and filter compare corner keys and trust this:
+    # every first page has the underlying and fixed-set polynomials' margins.
+    pages = unique_e1_pages(*space)
+    margins = search._margins(pages[0])
+    assert all(search._margins(page) == margins for page in pages)
+
+
+def _certificate(start, target):
+    """The greedy chain of moves from start to target: at each step the
+    first listed move whose result still relaxes to target.  None if the
+    chain stalls."""
+    moves, module = [], start
+    while module != target:
+        for src, tgt in possible_differentials(module):
+            gens = list(module.gens)
+            gens.remove(src)
+            gens.remove(tgt)
+            after = FreeModule(gens + list(shift_result(src, tgt)))
+            if after.can_relax_to(target):
+                break
+        else:
+            return None
+        moves.append((src, tgt))
+        module = after
+    return moves
+
+
+def _assert_certified(start, target):
+    moves = _certificate(start, target)
+    assert moves is not None, f"chain from {start} to {target} stalled"
+    assert reduce(FreeModule.apply_shift, moves, start) == target
+
+
+@given(hand_modules)
+@settings(max_examples=300, deadline=None)
+def test_greedy_chain_reaches_every_closure_module(module):
+    for target in closure_oracle(module):
+        _assert_certified(module, target)
+
+
+@pytest.mark.parametrize("space", [(3, 6, 3), (3, 7, 2), (4, 8, 2)])
+def test_greedy_chain_certifies_every_survivor(space):
+    report = solve(*space)
+    assert report.survivors
+    for survivor in report.survivors:
+        _assert_certified(report.pages[0], survivor)
 
 
 # sha256 of solve(k, p, q).to_json_bytes(), the compact encoding of the
@@ -553,6 +598,15 @@ def test_time_budget_covers_the_census(monkeypatch):
     late_clock()
     code = run(["solve", "--k", "2", "--p", "8", "--q", "4", "--max-seconds", "1"])
     assert code == EXIT_BUDGET
+
+
+def test_candidates_clock_covers_the_census(monkeypatch, capsys):
+    # candidates runs solve, so its clock starts before the census too.
+    clock = iter([0.0])
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(clock, 100.0)))
+    code = run(["candidates", "--k", "2", "--p", "8", "--q", "4", "--max-seconds", "1"])
+    assert code == EXIT_BUDGET
+    assert "sign-word census exceeded 1.0 seconds" in capsys.readouterr().err
 
 
 def test_solve_reads_the_clock_once_without_a_deadline(monkeypatch):
