@@ -8,26 +8,22 @@ of the same space must reach the true answer as well.  The solver:
   b. enumerates everything the lowest-tension page can converge to,
   c. discards pages that relax to other pages (their constraints are
      implied), and
-  d. strikes every candidate some remaining page cannot relax to.
+  d. strikes every candidate whose shift story, carried from the start
+     through the closure, falls short of some remaining page's need.
 
 Each rule is written once.  ``modalg.is_legal_shift`` is the move rule,
-``modalg.possible_differentials`` lists the (src, tgt) moves it admits
-for the candidate enumeration, and ``modalg.shift_result`` is the
-result of a move.  ``reduce_pages`` is the page reduction of step c.
-Steps c and d test relaxation as one integer comparison of corner keys
-(``_corner_keys``), which ``FreeModule.can_relax_to`` checks in the tests.
-
-Step b is the closure: it replays single shifts breadth-first,
-recomputing the possible differentials at every intermediate module, so
-a summand shifted down by one move may support the next.  This models
-re-running the sequence after each cell attachment.  A state is a count
-table over (row, e = a - b) cells packed into one int, a field per cell,
-and a move, which swaps two values of e, changes four fields.  Every
-move strictly decreases tension, so the closure is finite and always
-runs to the end.  ``oracle.closure_oracle`` is its slow reference.
-The module cap is checked against a count, made before the search, of
-page 0's down-set, which holds the closure (``_count_down_set``).  The
-time budget runs from the start of ``solve`` and covers every phase.
+``modalg.possible_differentials`` lists the (src, tgt) moves it admits,
+``modalg.shift_result`` is the result of a move and ``reduce_pages`` is
+step c.  Steps c and d test relaxation as one integer comparison, of
+corner keys (``_corner_keys``) and of stories; ``FreeModule.can_relax_to``
+checks both in the tests.  Step b, the closure, replays single shifts
+breadth-first, recomputing the possible differentials at every
+intermediate module, so a summand shifted down by one move may support
+the next, as re-running the sequence after each cell attachment would.
+Every move strictly lowers tension, so the closure is finite;
+``oracle.closure_oracle`` is its slow reference.  The module cap is
+checked on a count, made before the search, of page 0's down-set, which
+holds the closure.  The time budget runs from the start of ``solve``.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate, chain, groupby, repeat
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .modalg import FreeModule, possible_differentials, shift_result
@@ -75,34 +71,33 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def candidate_outcomes(
-    module: FreeModule,
-    strategy: str = DEFAULT_STRATEGY,
-    budget: Budget = DEFAULT_BUDGET,
-) -> list[FreeModule]:
+def candidate_outcomes(module: FreeModule, strategy: str = DEFAULT_STRATEGY,
+                       budget: Budget = DEFAULT_BUDGET) -> list[FreeModule]:
     """Every module the starting page could converge to, the page itself
-    included.  Deduplicated and canonically sorted.
-
-    ``strategy`` can only be ``DEFAULT_STRATEGY``; any other value raises
-    ``ValueError``.
-    """
+    included, deduplicated and canonically sorted.  ``strategy`` can only
+    be ``DEFAULT_STRATEGY``; any other value raises ``ValueError``."""
     if strategy != DEFAULT_STRATEGY:
         raise ValueError(f"unknown strategy {strategy!r}")
-    cells, states = _closure(module, budget, time.monotonic())
+    cells, states, _, _ = _closure(module, budget, time.monotonic())
     return [_module(cells, table) for table in _tables(cells, states, len(module))]
 
 
-def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, list]:
-    """The sorted cells of ``module``'s closure and its states, in descending
-    order; ``budget.max_seconds`` counts from ``began``."""
+def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, list, list, list]:
+    """The sorted cells of ``module``'s closure, its states in descending
+    order, the corners its moves change and each state's story on them;
+    ``budget.max_seconds`` counts from ``began``."""
     # A state is a count table over the cells, the bidegrees a generator
     # can reach (the start's, closed under the move rule), packed into an
-    # int, one fixed-width field per cell, cell 0 most significant.  In
-    # coordinates e = a - b a move swaps e1 in row a with a smaller e2 in a
-    # higher row, so it is -1, -1, +1, +1 on four fields' units, and a
-    # state tries only the moves between its live cells.  One cell can
-    # gather up to len(module) generators, which sets the width.  The walk
-    # cannot pass the module cap once the down-set holding it is counted.
+    # int, one field per cell, cell 0 most significant; a cell can hold all
+    # len(module) generators, which sets the width.  In coordinates
+    # e = a - b a move swaps e1 in row a with a smaller e2 in a higher row
+    # c, one step of -1, -1, +1, +1 on four fields, and a state tries only
+    # the moves between its live cells.  Its story is its corner counts
+    # (of generators with a <= i and e <= t) less the start's.  The move
+    # adds one on the rectangle a <= i < c, e2 <= t < e1, so a story has a
+    # field per corner of C, the union of the moves' rectangles, as wide
+    # as a corner key's, and a move adds one rise to it.  The count made
+    # first keeps the walk under the module cap.
     if budget.max_modules is not None:
         _check_cap(_count_down_set(module, budget, began), budget)
     cells = set(module.gens)
@@ -119,36 +114,40 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     shifts = list(range(width * (len(cells) - 1), -1, -width))
     units = [1 << shift for shift in shifts]
     index = {cell: i for i, cell in enumerate(cells)}
-    partners: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
-    for src, tgt, src_after, tgt_after in moves:
-        j = index[tgt]
-        partners[index[src]].append(
-            (shifts[j], units[j], units[index[src_after]], units[index[tgt_after]])
-        )
-    movers = [(shifts[i], units[i], swaps) for i, swaps in enumerate(partners) if swaps]
+    rows, cols = (sorted(set(margin)) for margin in _margins(module))
+    rects = [[(i, t) for i in rows if src[0] <= i < tgt[0] for t in cols
+              if tgt[0] - tgt[1] <= t < src[0] - src[1]] for src, tgt, _, _ in moves]
+    corners = sorted(set(chain.from_iterable(rects)))
+    bit = {corner: 1 << (len(module).bit_length() + 1) * j for j, corner in enumerate(corners)}
+    partners: list[list[tuple[int, int, int]]] = [[] for _ in cells]
+    for (src, tgt, src_after, tgt_after), rect in zip(moves, rects):
+        i, j = index[src], index[tgt]
+        step = units[index[src_after]] + units[index[tgt_after]] - units[i] - units[j]
+        partners[i].append((shifts[j], step, sum(map(bit.get, rect))))
+    movers = [(shifts[i], swaps) for i, swaps in enumerate(partners) if swaps]
 
     start = sum(units[index[gen]] for gen in module.gens)
-    seen = {start}
+    seen = {start: 0}  # state: story
     frontier = deque([start])
     while frontier:
         _check_clock(began, budget, "candidate enumeration")
         state = frontier.popleft()
-        for shift, unit, swaps in movers:
+        story = seen[state]
+        for shift, swaps in movers:
             if not state >> shift & mask:
                 continue
-            left = state - unit
-            for shift_j, unit_j, unit_i_after, unit_j_after in swaps:
+            for shift_j, step, rise in swaps:
                 if not state >> shift_j & mask:
                     continue
-                child = left - unit_j + unit_i_after + unit_j_after
-                if child in seen:
-                    continue
-                seen.add(child)
-                frontier.append(child)
+                child = state + step
+                if child not in seen:
+                    seen[child] = story + rise
+                    frontier.append(child)
     # A module with more generators in the first differing cell is the
     # smaller one, and its table the larger int, so descending states
     # give the canonical order.
-    return cells, sorted(seen, reverse=True)
+    states = sorted(seen, reverse=True)
+    return cells, states, corners, list(map(seen.get, states))
 
 
 def _count_down_set(page0: FreeModule, budget: Budget, began: float) -> int:
@@ -262,8 +261,8 @@ def _corner_keys(page0: FreeModule) -> tuple[int, Callable]:
 
 
 def _kept_pages(pages: Sequence[FreeModule], budget: Budget, began: float) -> tuple:
-    """``_corner_keys(pages[0])`` and the (index, key) of each kept page;
-    every page must have page 0's margins, as the pages of one census do."""
+    """``_corner_keys(pages[0])``'s key and the (index, key) of each kept
+    page; every page must have page 0's margins, as a census's pages do."""
     guard, key = _corner_keys(pages[0])
     kept = []
     for i, page in enumerate(pages):
@@ -271,7 +270,7 @@ def _kept_pages(pages: Sequence[FreeModule], budget: Budget, began: float) -> tu
         page_key = key(page.gens)
         if not any(((t | guard) - page_key) & guard == guard for _, t in kept):
             kept.append((i, page_key))
-    return guard, key, kept
+    return key, kept
 
 
 def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
@@ -288,14 +287,11 @@ def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
     margins = _margins(pages[0]) if pages else None
     if any(_margins(page) != margins for page in pages):
         raise ValueError("every page must have the first page's degrees and values of e")
-    return [pages[i] for i, _ in _kept_pages(pages, DEFAULT_BUDGET, 0.0)[2]] if pages else []
+    return [pages[i] for i, _ in _kept_pages(pages, DEFAULT_BUDGET, 0.0)[1]] if pages else []
 
 
-def subspace_filter(
-    candidates: Iterable[FreeModule],
-    h_sub: FreeModule,
-    e1_q: FreeModule,
-) -> list[FreeModule]:
+def subspace_filter(candidates: Iterable[FreeModule], h_sub: FreeModule,
+                    e1_q: FreeModule) -> list[FreeModule]:
     """Keep candidates that are relaxations of (known subspace answer)
     direct-sum (quotient first page)."""
     lower_bound = h_sub + e1_q
@@ -349,10 +345,7 @@ class SolveReport:
             "candidates": [{"generators": [[a, b, n] for (a, b), n in zip(self.cells, t) if n]}
                            for t in self._unpack(self.states)],
             "filter_page_indices": list(self.filter_page_indices),
-            "filter_log": [
-                {"page": page_idx, "removed": list(removed)}
-                for page_idx, removed in self.filter_log
-            ],
+            "filter_log": [{"page": i, "removed": list(removed)} for i, removed in self.filter_log],
             "survivor_indices": list(self.survivor_indices),
             "incomplete": self.incomplete,
             "failure": self.failure,
@@ -362,13 +355,7 @@ class SolveReport:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
-def solve(
-    k: int,
-    p: int,
-    q: int,
-    budget: Budget = DEFAULT_BUDGET,
-    jobs: int = 1,
-) -> SolveReport:
+def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1) -> SolveReport:
     """Run the pruned intersection search for Gr_k(R^{p,q}).
 
     Deterministic for fixed arguments.  The search runs in this process,
@@ -386,23 +373,36 @@ def solve(
         tick = partial(_check_clock, began, budget, "sign-word census")
         pages = unique_e1_pages(k, p, q, budget.max_words,
                                 None if budget.max_seconds is None else tick)
-        cells, states = _closure(pages[0], budget, began)
+        cells, states, corners, stories = _closure(pages[0], budget, began)
         # Pages that can shift to any other page are redundant: the
         # target page filters at least as hard.  Page 0, the closure's
         # start, filters nothing (every candidate is reachable from it)
         # so it is never used.  Filters run from the highest-tension page
         # down; the order changes only how removals split across the
         # log, never the survivor set.
-        guard, key, kept = _kept_pages(pages, budget, began)
+        key, kept = _kept_pages(pages, budget, began)
         filters = kept[:0:-1]
-        units = [key([cell]) for cell in cells]
+        # Candidate B passes page P when B_x >= P_x at every corner x, so
+        # when its story covers P's need, max(0, P_x - page0_x), on C.  Off
+        # C the need is 0: if P_x > page0_x at x = (i, t), then by P's
+        # degrees and values of e page 0 has generators at (a <= i, e1 > t)
+        # and (c > i, e2 <= t), a move of page 0 that changes x.  In a key,
+        # x's field starts at the lowest bit of key([(i, i - t)]).
+        width = len(pages[0]).bit_length() + 1
+        mask = (1 << width) - 1
+        offsets = [(u & -u).bit_length() - 1 for u in (key([(i, i - t)]) for i, t in corners)]
+        floor = [kept[0][1] >> offset & mask for offset in offsets]
+        needs = [(i, sum(max(0, (page_key >> offset & mask) - f) << width * j
+                         for j, (offset, f) in enumerate(zip(offsets, floor))))
+                 for i, page_key in filters]
+        top = sum(1 << width * j + width - 1 for j in range(len(corners)))
         removed: dict[int, list[int]] = {i: [] for i, _ in filters}
         alive = []
-        for c, table in enumerate(_tables(cells, states, len(pages[0]))):
+        for c, story in enumerate(stories):
             _check_clock(began, budget, "candidate filter")
-            cand = sum(map(mul, table, units))
-            for i, page_key in filters:  # filed under the first page it fails
-                if ((cand | guard) - page_key) & guard != guard:
+            story |= top
+            for i, need in needs:  # filed under the first page it fails
+                if (story - need) & top != top:
                     removed[i].append(c)
                     break
             else:

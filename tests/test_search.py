@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import time
 import tracemalloc
 from functools import cache, reduce
 from itertools import count, permutations
@@ -145,6 +146,51 @@ def test_closure_is_relaxation_down_set(module):
 @settings(max_examples=500, deadline=None)
 def test_closure_matches_oracle(module):
     assert candidate_outcomes(module) == closure_oracle(module)
+
+
+def _corner_counts(module, grid):
+    """module's count of generators with a <= i and e = a - b <= t, for
+    each corner (i, t) of grid."""
+    return {(i, t): sum(a <= i and a - b <= t for a, b in module.gens) for i, t in grid}
+
+
+def _grid(module):
+    rows, cols = (sorted(set(margin)) for margin in search._margins(module))
+    return [(i, t) for i in rows for t in cols]
+
+
+@given(hand_modules)
+@settings(max_examples=300, deadline=None)
+def test_closure_stories_are_corner_count_differences(module):
+    # The story the walk carries for a state is its corner counts less the
+    # start's: field j holds corner j of C, and every corner off C is 0.
+    cells, states, corners, stories = search._closure(
+        module, Budget(max_modules=None), time.monotonic()
+    )
+    width = len(module).bit_length() + 1
+    start = _corner_counts(module, _grid(module))
+    closure = candidate_outcomes(module)
+    assert len(stories) == len(closure)
+    for target, story in zip(closure, stories):
+        fields = {x: story >> width * j & (1 << width) - 1 for j, x in enumerate(corners)}
+        assert story >> width * len(corners) == 0
+        rise = {x: n - start[x] for x, n in _corner_counts(target, start).items()}
+        assert rise == {x: fields.get(x, 0) for x in start}
+
+
+@given(hand_modules)
+@settings(max_examples=300, deadline=None)
+def test_modules_beat_start_only_inside_its_move_rectangles(module):
+    # solve's filter checks a page's need only on C: a module with the
+    # start's margins has more generators than the start in corner (i, t)
+    # only if some move of the start, (a, e1) to (c, e2), has a <= i < c
+    # and e2 <= t < e1.
+    rects = [(a, c, c - d, a - b) for (a, b), (c, d) in possible_differentials(module)]
+    start = _corner_counts(module, _grid(module))
+    for other in _same_margins(module):
+        for (i, t), n in _corner_counts(other, start).items():
+            if n > start[i, t]:
+                assert any(a <= i < c and e2 <= t < e1 for a, c, e2, e1 in rects)
 
 
 @pytest.mark.parametrize("space", [(3, 7, 2), (2, 11, 5), (4, 8, 2)])
@@ -544,6 +590,40 @@ def test_solve_heap_peak():
         tracemalloc.stop()
     assert len(report.states) == 7776
     assert peak < 3 * (1 << 20)
+
+
+def test_solve_heap_peak_on_wide_grid():
+    # Gr_1(R^{300,1}): 300 rows by 299 values of e, so a full corner key
+    # is about 111 KB.  A filter that built one key per closure cell peaked
+    # at 35.5 MiB traced; the stories need no per-cell key (3.5 MiB).
+    tracemalloc.start()
+    try:
+        report = solve(1, 300, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.survivors) == 1
+    assert peak < 8 * (1 << 20)
+
+
+def test_closure_on_wide_grid_builds_no_grid_keys():
+    # The stories cover only the corners the moves change: a walk that
+    # built grid-sized keys here took 12.6 s and 34.8 MiB.  Measured
+    # without tracing, the closure takes about 0.01 s.
+    page = unique_e1_pages(1, 300, 1)[0]
+    best = float("inf")
+    for _ in range(3):
+        began = time.perf_counter()
+        assert candidate_outcomes(page) == [page]
+        best = min(best, time.perf_counter() - began)
+    tracemalloc.start()
+    try:
+        candidate_outcomes(page)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert best < 0.06
 
 
 def test_closure_abort_builds_no_keys(monkeypatch):
