@@ -24,6 +24,7 @@ wrap.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterator, Mapping
 
@@ -42,8 +43,8 @@ class _SparsePoly:
 
     Subclasses fix the exponent type.  Their constructors drop zero
     coefficients, so two equal polynomials always hold identical term
-    maps; they supply ``__init__``, ``__mul__``, the descending term order
-    ``_order_key`` and the monomial text ``_monomial``.
+    maps; they supply ``__init__``, the exponent sum ``_times``, the
+    descending term order ``_order_key`` and the monomial text ``_monomial``.
     """
 
     __slots__ = ("_terms",)
@@ -59,6 +60,16 @@ class _SparsePoly:
         terms = dict(self._terms)
         for e, c in other._terms.items():
             terms[e] = terms.get(e, 0) + c
+        return type(self)(terms)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        terms = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = self._times(e1, e2)
+                terms[e] = terms.get(e, 0) + c1 * c2
         return type(self)(terms)
 
     def __neg__(self):
@@ -117,6 +128,10 @@ class BiPoly(_SparsePoly):
 
     _order_key = staticmethod(_graded_lex_key)
 
+    @staticmethod
+    def _times(e: tuple[int, int], f: tuple[int, int]) -> tuple[int, int]:
+        return (e[0] + f[0], e[1] + f[1])
+
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
         for (i, j), c in (terms or {}).items():
@@ -131,18 +146,6 @@ class BiPoly(_SparsePoly):
     @classmethod
     def monomial(cls, i: int, j: int, coeff: int = 1) -> "BiPoly":
         return cls({(i, j): coeff})
-
-    # -- ring structure ------------------------------------------------
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        terms: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                e = (i1 + i2, j1 + j2)
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return BiPoly(terms)
 
     # -- inspection ----------------------------------------------------
 
@@ -165,17 +168,17 @@ class BiPoly(_SparsePoly):
 
     def underlying(self) -> "UniPoly":
         """Substitute y = 1 (forget the weight grading)."""
-        terms: dict[int, int] = {}
-        for (i, _), c in self._terms.items():
-            terms[i] = terms.get(i, 0) + c
-        return UniPoly(terms)
+        return self._substitute(0)
 
     def fixed_points(self) -> "UniPoly":
         """Substitute y = 1/x; the result may be a Laurent polynomial."""
+        return self._substitute(-1)
+
+    def _substitute(self, power: int) -> "UniPoly":
+        """Substitute y = x^power."""
         terms: dict[int, int] = {}
         for (i, j), c in self._terms.items():
-            e = i - j
-            terms[e] = terms.get(e, 0) + c
+            terms[i + power * j] = terms.get(i + power * j, 0) + c
         return UniPoly(terms)
 
     # -- division by the fundamental shift ------------------------------
@@ -229,15 +232,7 @@ class UniPoly(_SparsePoly):
         clean = {e: c for e, c in (terms or {}).items() if c}
         object.__setattr__(self, "_terms", clean)
 
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        terms: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return UniPoly(terms)
+    _times = staticmethod(operator.add)
 
     def coefficient(self, e: int) -> int:
         return self._terms.get(e, 0)

@@ -10,7 +10,6 @@ exhaustive search for cross-checking the solver at small scale.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ from .schubert import (
     total_weight_formula,
     unique_e1_pages,
 )
-from .search import Budget, BudgetExceededError, DEFAULT_BUDGET
+from .search import DEFAULT_MAX_MODULES, DEFAULT_MAX_WORDS, BudgetExceededError
 
 
 def gaussian_binomial(p: int, k: int) -> UniPoly:
@@ -52,23 +51,14 @@ def fixed_set_poincare(k: int, p: int, q: int) -> UniPoly:
     return total
 
 
-def closure_oracle(
-    module: FreeModule,
-    max_modules: int | None = None,
-    max_seconds: float | None = None,
-) -> list[FreeModule]:
+def closure_oracle(module: FreeModule, max_modules: int | None = None) -> list[FreeModule]:
     """``search.candidate_outcomes`` done slowly: a breadth-first search
     over sorted generator tuples that lists each state's moves afresh.
     A state counts when it is first taken off the queue, the start
-    included.  The caps raise the same ``BudgetExceededError`` messages."""
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    included.  The cap raises the same ``BudgetExceededError`` message."""
     seen = set()
     frontier = deque([module.gens])
     while frontier:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                f"candidate enumeration exceeded {max_seconds} seconds"
-            )
         gens = frontier.popleft()
         if gens in seen:
             continue
@@ -84,19 +74,15 @@ def closure_oracle(
     return sorted(FreeModule(gens) for gens in seen)
 
 
-def naive_solve(
-    k: int,
-    p: int,
-    q: int,
-    budget: Budget = DEFAULT_BUDGET,
-) -> list[FreeModule]:
+def naive_solve(k: int, p: int, q: int) -> list[FreeModule]:
     """Exhaustive search: intersect the ``closure_oracle`` outcomes of
-    every distinct first page.  Contains the true answer by construction;
-    feasible only at small parameters."""
-    pages = unique_e1_pages(k, p, q, max_words=budget.max_words)
+    every distinct first page, under the default word and module caps.
+    Contains the true answer by construction; feasible only at small
+    parameters."""
+    pages = unique_e1_pages(k, p, q, max_words=DEFAULT_MAX_WORDS)
     common: set[FreeModule] | None = None
     for page in pages:
-        outcomes = set(closure_oracle(page, budget.max_modules, budget.max_seconds))
+        outcomes = set(closure_oracle(page, DEFAULT_MAX_MODULES))
         common = outcomes if common is None else (common & outcomes)
         if not common:
             break

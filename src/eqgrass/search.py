@@ -29,9 +29,8 @@ holds the closure.  The time budget runs from the start of ``solve``.
 from __future__ import annotations
 
 import json
-import sys
+import struct
 import time
-from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -109,7 +108,7 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
             break
         cells |= reached
     cells = sorted(cells)
-    width = 8 * array(_typecode(len(module))).itemsize
+    width = 8 * struct.calcsize(">" + _typecode(len(module)))
     mask = (1 << width) - 1
     shifts = list(range(width * (len(cells) - 1), -1, -width))
     units = [1 << shift for shift in shifts]
@@ -200,18 +199,14 @@ def _count_down_set(page0: FreeModule, budget: Budget, began: float) -> int:
 
 
 def _typecode(size: int) -> str:
-    return next(t for t in "BHIQ" if size < 1 << 8 * array(t).itemsize)
+    return next(t for t in "BHIQ" if size < 1 << 8 * struct.calcsize(">" + t))
 
 
-def _tables(cells: list, states: Iterable[int], size: int) -> Iterator[array]:
+def _tables(cells: list, states: Iterable[int], size: int) -> Iterator[tuple[int, ...]]:
     """The count tables of closure states whose start has ``size`` generators."""
-    typecode = _typecode(size)
-    nbytes = len(cells) * array(typecode).itemsize
+    fields = struct.Struct(f">{len(cells)}{_typecode(size)}")
     for state in states:
-        table = array(typecode, state.to_bytes(nbytes, "big"))
-        if typecode != "B" and sys.byteorder == "little":
-            table.byteswap()
-        yield table
+        yield fields.unpack(state.to_bytes(fields.size, "big"))
 
 
 def _module(cells: list, table: Sequence[int]) -> FreeModule:
@@ -319,7 +314,7 @@ class SolveReport:
         """True when a budget cut the run short; ``failure`` says which."""
         return self.failure is not None
 
-    def _unpack(self, states: Iterable[int]) -> Iterator[array]:
+    def _unpack(self, states: Iterable[int]) -> Iterator[tuple[int, ...]]:
         return _tables(self.cells, states, len(self.pages[0]) if self.pages else 0)
 
     @cached_property
@@ -371,8 +366,7 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
     pages: list[FreeModule] = []
     try:
         tick = partial(_check_clock, began, budget, "sign-word census")
-        pages = unique_e1_pages(k, p, q, budget.max_words,
-                                None if budget.max_seconds is None else tick)
+        pages = unique_e1_pages(k, p, q, budget.max_words, tick)
         cells, states, corners, stories = _closure(pages[0], budget, began)
         # Pages that can shift to any other page are redundant: the
         # target page filters at least as hard.  Page 0, the closure's

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given, settings
 
@@ -24,6 +26,13 @@ def test_add_monomials():
 def test_mul_expands_k11():
     assert (ONE - X * Y) * (Y - ONE) == parse_bipoly("y - 1 - xy^2 + xy")
     assert K11 == parse_bipoly("y - 1 - xy^2 + xy")
+
+
+@pytest.mark.parametrize("op", [operator.mul, operator.add, operator.sub], ids=["*", "+", "-"])
+def test_bipoly_and_unipoly_do_not_mix(op):
+    for f, g in ((X, UniPoly({1: 1})), (UniPoly({1: 1}), X)):
+        with pytest.raises(TypeError):
+            op(f, g)
 
 
 def test_sub_self_is_zero():

@@ -186,6 +186,8 @@ def test_apply_shift_rejections():
     m = FreeModule([(1, 0), (2, 2)])
     with pytest.raises(ValueError, match="no generator"):
         m.apply_shift(((0, 0), (2, 2)))
+    with pytest.raises(ValueError, match=r"no generator at \(3, 3\)"):
+        m.apply_shift(((1, 0), (3, 3)))
     with pytest.raises(ValueError, match="illegal shift"):
         m.apply_shift(((2, 2), (1, 0)))
     # n >= 1 but s = 0
@@ -356,6 +358,11 @@ def test_init_shares_tuple_generators():
 def test_from_counts_rejects_multiplicities_that_are_not_ints(count):
     with pytest.raises(ValueError, match="not an int"):
         FreeModule.from_counts({(0, 0): count})
+
+
+def test_from_counts_rejects_negative_multiplicities():
+    with pytest.raises(ValueError, match=r"negative multiplicity for \(0, 0\)"):
+        FreeModule.from_counts({(0, 0): -1})
 
 
 def test_generators_are_plain_tuples():

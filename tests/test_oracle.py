@@ -30,6 +30,11 @@ def test_fixed_set_examples():
     assert fixed_set_poincare(2, 5, 0) == gaussian_binomial(5, 2)
 
 
+def test_fixed_set_rejects_k_over_p():
+    with pytest.raises(ValueError, match="need 0 <= k, q <= p, got k=3, p=2, q=1"):
+        fixed_set_poincare(3, 2, 1)
+
+
 def test_fixed_set_matches_substitution():
     # the twisted projective plane again: E1 determines the fixed set
     page = e1_page(1, SignWord.from_string("++-"))

@@ -80,6 +80,11 @@ def test_sign_word_parsing():
         W("+-x")
 
 
+def test_sign_words_rejects_q_over_p():
+    with pytest.raises(ValueError, match="need 0 <= q <= p, got q=4, p=3"):
+        sign_words(3, 4)
+
+
 def test_enumerate_cells_small():
     assert enumerate_cells(1, 3) == [(1,), (2,), (3,)]
     assert len(enumerate_cells(2, 4)) == 6
@@ -196,6 +201,8 @@ def test_quotient_page_cell_count():
 def test_quotient_page_rejects_bad_prefix():
     with pytest.raises(ValueError):
         e1_quotient_page(3, W("--+++-"), 6)
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        e1_quotient_page(3, W("--+++-"), -1)
 
 
 @given(st.data())

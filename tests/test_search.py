@@ -90,10 +90,13 @@ def test_candidates_past_weight_65535():
 
 
 def test_candidates_cell_outgrows_start_cells():
-    # one move puts a 256th generator into the cell (0, 1), which holds 255
-    page = FreeModule([(0, 1)] * 255 + [(0, 0), (1, 2)])
-    moved = FreeModule([(0, 1)] * 256 + [(1, 1)])
-    assert candidate_outcomes(page) == [page, moved]
+    # one move puts a 256th generator into the cell (0, 1), which holds
+    # 255; with 65,535 there it puts the 65,536th, and the 65,537
+    # generators give 32-bit fields
+    for held in (255, 65_535):
+        page = FreeModule([(0, 1)] * held + [(0, 0), (1, 2)])
+        moved = FreeModule([(0, 1)] * (held + 1) + [(1, 1)])
+        assert candidate_outcomes(page) == [page, moved]
 
 
 def test_candidates_order_with_two_byte_fields():
