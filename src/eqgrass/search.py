@@ -20,10 +20,15 @@ checks both in the tests.  Step b, the closure, replays single shifts
 breadth-first, recomputing the possible differentials at every
 intermediate module, so a summand shifted down by one move may support
 the next, as re-running the sequence after each cell attachment would.
-Every move strictly lowers tension, so the closure is finite;
-``oracle.closure_oracle`` is its slow reference.  The module cap is
-checked on a count, made before the search, of page 0's down-set, which
-holds the closure.  The time budget runs from the start of ``solve``.
+Every move strictly lowers tension, so the closure is finite.  The
+moves, listed once over the closed cell set, link their cells into
+components; a move reads and writes only its own component and keeps
+its number of generators, so the closure is exactly the product of the
+components' closures, and each component is walked alone.
+``oracle.closure_oracle``, one search over whole modules, is its slow
+reference.  The module cap is checked on a count, made before the
+search, of page 0's down-set, which holds the closure.  The time budget
+runs from the start of ``solve``.
 """
 
 from __future__ import annotations
@@ -96,7 +101,16 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     # adds one on the rectangle a <= i < c, e2 <= t < e1, so a story has a
     # field per corner of C, the union of the moves' rectangles, as wide
     # as a corner key's, and a move adds one rise to it.  The count made
-    # first keeps the walk under the module cap.
+    # first keeps the walk under the module cap.  The cells are closed, so
+    # ``moves`` holds every move a state can make; a move takes one
+    # generator from each of two cells and adds one to each of two, all
+    # four in one component of the cells that moves link.  A component's
+    # walk therefore reads and writes only its fields and keeps its count
+    # of generators, and the closure is the product of the components'
+    # closures: a state is the fixed cells' part plus one state of each
+    # component, and, as rises add along a path, its story is the sum of
+    # theirs.  Each component is walked alone from its share of the start
+    # and joined to the rest as sums.
     if budget.max_modules is not None:
         _check_cap(_count_down_set(module, budget, began), budget)
     cells = set(module.gens)
@@ -123,25 +137,50 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
         i, j = index[src], index[tgt]
         step = units[index[src_after]] + units[index[tgt_after]] - units[i] - units[j]
         partners[i].append((shifts[j], step, sum(map(bit.get, rect))))
-    movers = [(shifts[i], swaps) for i, swaps in enumerate(partners) if swaps]
+    # A move's four cells lie in one component: join them by union-find.
+    root = list(range(len(cells)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for move in moves:
+        for cell in move[1:]:
+            root[find(index[cell])] = find(index[move[0]])
+    fields = [0] * len(cells)  # a component's fields, at its root
+    movers: dict[int, list] = {}  # a component's moving cells, by root
+    for i, swaps in enumerate(partners):
+        fields[find(i)] |= mask << shifts[i]
+        if swaps:
+            movers.setdefault(find(i), []).append((shifts[i], swaps))
 
     start = sum(units[index[gen]] for gen in module.gens)
-    seen = {start: 0}  # state: story
-    frontier = deque([start])
-    while frontier:
-        _check_clock(began, budget, "candidate enumeration")
-        state = frontier.popleft()
-        story = seen[state]
-        for shift, swaps in movers:
-            if not state >> shift & mask:
-                continue
-            for shift_j, step, rise in swaps:
-                if not state >> shift_j & mask:
+    parts = []
+    for r, moving in movers.items():
+        seen = {start & fields[r]: 0}  # state: story
+        frontier = deque(seen)
+        while frontier:
+            _check_clock(began, budget, "candidate enumeration")
+            state = frontier.popleft()
+            story = seen[state]
+            for shift, swaps in moving:
+                if not state >> shift & mask:
                     continue
-                child = state + step
-                if child not in seen:
-                    seen[child] = story + rise
-                    frontier.append(child)
+                for shift_j, step, rise in swaps:
+                    if not state >> shift_j & mask:
+                        continue
+                    child = state + step
+                    if child not in seen:
+                        seen[child] = story + rise
+                        frontier.append(child)
+        parts.append(seen)
+    # Joining the largest part last keeps the product built before it
+    # small, so only a fraction of the states is ever held twice.
+    seen = {start - sum(start & fields[r] for r in movers): 0}
+    for part in sorted(parts, key=len):
+        _check_clock(began, budget, "candidate enumeration")
+        seen = {s + t: u + v for s, u in seen.items() for t, v in part.items()}
     # A module with more generators in the first differing cell is the
     # smaller one, and its table the larger int, so descending states
     # give the canonical order.

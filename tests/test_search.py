@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import time
 import tracemalloc
+from collections import deque
 from functools import cache, reduce
 from itertools import count, permutations
 from types import SimpleNamespace
@@ -165,6 +166,10 @@ def _grid(module):
 @given(hand_modules)
 @settings(max_examples=300, deadline=None)
 def test_closure_stories_are_corner_count_differences(module):
+    _assert_stories_are_corner_count_differences(module)
+
+
+def _assert_stories_are_corner_count_differences(module):
     # The story the walk carries for a state is its corner counts less the
     # start's: field j holds corner j of C, and every corner off C is 0.
     cells, states, corners, stories = search._closure(
@@ -196,10 +201,25 @@ def test_modules_beat_start_only_inside_its_move_rectangles(module):
                 assert any(a <= i < c and e2 <= t < e1 for a, c, e2, e1 in rects)
 
 
-@pytest.mark.parametrize("space", [(3, 7, 2), (2, 11, 5), (4, 8, 2)])
+# These first pages split into 4, 7, 4, 9 and 3 move components, so the
+# walk builds their closures as products.
+@pytest.mark.parametrize("space", [(3, 7, 2), (2, 11, 5), (4, 8, 2), (2, 13, 6), (3, 8, 3)])
 def test_closure_matches_oracle_on_first_page(space):
     page = unique_e1_pages(*space)[0]
     assert candidate_outcomes(page) == closure_oracle(page)
+
+
+@given(hand_modules, hand_modules)
+@settings(max_examples=200, deadline=None)
+def test_closure_of_a_direct_sum_is_the_sum_of_closures(a, b):
+    # A move keeps weights between its ends' and needs its target's weight
+    # to pass its source's by more than the degree gap.  B moved up 20
+    # degrees keeps weights of at most 6, so no move joins A's cells to
+    # B's, and the closure of A + B is the product of theirs.
+    b = FreeModule((d + 20, w) for d, w in b.gens)
+    expected = sorted({x + y for x in closure_oracle(a) for y in closure_oracle(b)})
+    assert candidate_outcomes(a + b) == expected
+    _assert_stories_are_corner_count_differences(a + b)
 
 
 def test_candidates_fully_relaxed_page():
@@ -274,6 +294,42 @@ def test_time_budget_covers_the_count(monkeypatch):
     page = unique_e1_pages(4, 8, 3)[0]
     with pytest.raises(BudgetExceededError, match="candidate enumeration exceeded 10 seconds"):
         candidate_outcomes(page, budget=Budget(max_seconds=10))
+
+
+@pytest.mark.parametrize("walks", [1, 4])
+def test_time_budget_covers_the_walks_and_joins(monkeypatch, walks):
+    # (4,8,2)'s first page splits into 4 move components.  The clock holds
+    # still until the frontier of walk number `walks` runs dry and then
+    # jumps 100 seconds.  After the first walk the next walk's check trips
+    # before it takes a state; after the last, the check before the first
+    # join trips.
+    now = [0.0]
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    frontiers = []
+
+    class Frontier(deque):
+        def __init__(self, states):
+            super().__init__(states)
+            self.pops = 0
+            frontiers.append(self)
+
+        def popleft(self):
+            self.pops += 1
+            return super().popleft()
+
+        def __bool__(self):
+            if len(self):
+                return True
+            if len(frontiers) == walks:
+                now[0] += 100.0
+            return False
+
+    monkeypatch.setattr(search, "deque", Frontier)
+    report = solve(4, 8, 2, budget=Budget(max_modules=None, max_seconds=1.0))
+    assert report.failure == "candidate enumeration exceeded 1.0 seconds"
+    assert report.pages and not report.states
+    assert len(frontiers) == min(walks + 1, 4)
+    assert frontiers[walks - 1].pops and not any(f.pops for f in frontiers[walks:])
 
 
 def _refuse_moves(cells):
