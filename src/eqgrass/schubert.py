@@ -151,14 +151,13 @@ def unique_e1_pages(
     given, is called after each word and may raise to stop the census.
     No word list is built: each word is visited as a mask.
     """
-    # Counted before any word is built; _sign_positions rejects a bad q.
-    n_words = math.comb(p, q) if 0 <= q <= p else 0
+    positions = _sign_positions(p, q)
+    n_words = math.comb(p, q)
     if max_words is not None and n_words > max_words:
         raise BudgetExceededError(
             f"(k={k}, p={p}, q={q}) needs {n_words} sign words, over the "
             f"budget of {max_words}; raise the word budget to continue"
         )
-    positions = _sign_positions(p, q)
     gens, rows = _cell_rows(enumerate_cells(k, p))
     seen: set[FreeModule] = set()
     for signs in positions:

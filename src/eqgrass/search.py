@@ -90,27 +90,15 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     """The sorted cells of ``module``'s closure, its states in descending
     order, the corners its moves change and each state's story on them;
     ``budget.max_seconds`` counts from ``began``."""
-    # A state is a count table over the cells, the bidegrees a generator
-    # can reach (the start's, closed under the move rule), packed into an
-    # int, one field per cell, cell 0 most significant; a cell can hold all
-    # len(module) generators, which sets the width.  In coordinates
-    # e = a - b a move swaps e1 in row a with a smaller e2 in a higher row
-    # c, one step of -1, -1, +1, +1 on four fields, and a state tries only
-    # the moves between its live cells.  Its story is its corner counts
-    # (of generators with a <= i and e <= t) less the start's.  The move
-    # adds one on the rectangle a <= i < c, e2 <= t < e1, so a story has a
-    # field per corner of C, the union of the moves' rectangles, as wide
-    # as a corner key's, and a move adds one rise to it.  The count made
-    # first keeps the walk under the module cap.  The cells are closed, so
-    # ``moves`` holds every move a state can make; a move takes one
-    # generator from each of two cells and adds one to each of two, all
-    # four in one component of the cells that moves link.  A component's
-    # walk therefore reads and writes only its fields and keeps its count
-    # of generators, and the closure is the product of the components'
-    # closures: a state is the fixed cells' part plus one state of each
-    # component, and, as rises add along a path, its story is the sum of
-    # theirs.  Each component is walked alone from its share of the start
-    # and joined to the rest as sums.
+    # The count comes first, so no cell or state is built past the module
+    # cap.  The cells are closed, so ``moves`` holds every move any state
+    # makes; a move takes one generator from each of two cells and adds one
+    # to each of two, all four in one component.  A component's walk thus
+    # reads and writes only its own cells' counts and keeps their total, so
+    # the closure is exactly the product of the components' closures, and
+    # as rises add along a path a story is the sum of its parts'.  A move
+    # from (a, e1) to (c, e2), e = a - b, adds one to each corner count
+    # {a <= i, e <= t} with a <= i < c and e2 <= t < e1.
     if budget.max_modules is not None:
         _check_cap(_count_down_set(module, budget, began), budget)
     cells = set(module.gens)
@@ -124,51 +112,44 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     cells = sorted(cells)
     width = 8 * struct.calcsize(">" + _typecode(len(module)))
     mask = (1 << width) - 1
-    shifts = list(range(width * (len(cells) - 1), -1, -width))
-    units = [1 << shift for shift in shifts]
-    index = {cell: i for i, cell in enumerate(cells)}
+    shift = dict(zip(cells, range(width * (len(cells) - 1), -1, -width)))
     rows, cols = (sorted(set(margin)) for margin in _margins(module))
     rects = [[(i, t) for i in rows if src[0] <= i < tgt[0] for t in cols
               if tgt[0] - tgt[1] <= t < src[0] - src[1]] for src, tgt, _, _ in moves]
     corners = sorted(set(chain.from_iterable(rects)))
     bit = {corner: 1 << (len(module).bit_length() + 1) * j for j, corner in enumerate(corners)}
-    partners: list[list[tuple[int, int, int]]] = [[] for _ in cells]
-    for (src, tgt, src_after, tgt_after), rect in zip(moves, rects):
-        i, j = index[src], index[tgt]
-        step = units[index[src_after]] + units[index[tgt_after]] - units[i] - units[j]
-        partners[i].append((shifts[j], step, sum(map(bit.get, rect))))
-    # A move's four cells lie in one component: join them by union-find.
-    root = list(range(len(cells)))
+    root = {i: i for i in shift.values()}  # a union-find over the cells, by shift
 
     def find(i: int) -> int:
         while root[i] != i:
             root[i] = i = root[root[i]]
         return i
 
-    for move in moves:
-        for cell in move[1:]:
-            root[find(index[cell])] = find(index[move[0]])
-    fields = [0] * len(cells)  # a component's fields, at its root
-    movers: dict[int, list] = {}  # a component's moving cells, by root
-    for i, swaps in enumerate(partners):
-        fields[find(i)] |= mask << shifts[i]
-        if swaps:
-            movers.setdefault(find(i), []).append((shifts[i], swaps))
-
-    start = sum(units[index[gen]] for gen in module.gens)
+    for src, *ends in moves:
+        r = find(shift[src])
+        for cell in ends:
+            root[find(shift[cell])] = r
+    walks: dict[int, dict[int, list]] = {}  # by component root, then source shift
+    for (src, tgt, x, y), rect in zip(moves, rects):
+        i, j = shift[src], shift[tgt]
+        step = (1 << shift[x]) + (1 << shift[y]) - (1 << i) - (1 << j)
+        walks.setdefault(find(i), {}).setdefault(i, []).append((j, step, sum(map(bit.get, rect))))
+    shares = dict.fromkeys(root, 0)  # of the start, by component root
+    for gen in module.gens:
+        shares[find(shift[gen])] += 1 << shift[gen]
     parts = []
-    for r, moving in movers.items():
-        seen = {start & fields[r]: 0}  # state: story
+    for r, moving in walks.items():
+        seen = {shares.pop(r): 0}  # state: story
         frontier = deque(seen)
         while frontier:
             _check_clock(began, budget, "candidate enumeration")
             state = frontier.popleft()
             story = seen[state]
-            for shift, swaps in moving:
-                if not state >> shift & mask:
+            for i, swaps in moving.items():
+                if not state >> i & mask:
                     continue
-                for shift_j, step, rise in swaps:
-                    if not state >> shift_j & mask:
+                for j, step, rise in swaps:
+                    if not state >> j & mask:
                         continue
                     child = state + step
                     if child not in seen:
@@ -177,7 +158,7 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
         parts.append(seen)
     # Joining the largest part last keeps the product built before it
     # small, so only a fraction of the states is ever held twice.
-    seen = {start - sum(start & fields[r] for r in movers): 0}
+    seen = {sum(shares.values()): 0}
     for part in sorted(parts, key=len):
         _check_clock(began, budget, "candidate enumeration")
         seen = {s + t: u + v for s, u in seen.items() for t, v in part.items()}

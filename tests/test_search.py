@@ -222,6 +222,13 @@ def test_closure_of_a_direct_sum_is_the_sum_of_closures(a, b):
     _assert_stories_are_corner_count_differences(a + b)
 
 
+# These first pages split into 4, 5 and 7 move components, so their
+# stories are sums of the components' stories.
+@pytest.mark.parametrize("space", [(3, 7, 2), (2, 9, 4), (2, 11, 5)])
+def test_first_page_stories_are_corner_count_differences(space):
+    _assert_stories_are_corner_count_differences(unique_e1_pages(*space)[0])
+
+
 def test_candidates_fully_relaxed_page():
     assert candidate_outcomes(RP2_H) == [RP2_H]
 
@@ -542,6 +549,50 @@ def test_greedy_chain_certifies_every_survivor(space):
     assert report.survivors
     for survivor in report.survivors:
         _assert_certified(report.pages[0], survivor)
+
+
+def _tables_above(page0, bound):
+    """Every module with page0's degrees and values of e = a - b, b >= 0,
+    and at least bound[i, t] generators with a <= i and e <= t at each
+    corner (i, t) of page0's grid, listed row by row."""
+    degrees, es = search._margins(page0)
+    rows, cols = sorted(set(degrees)), sorted(set(es))
+    room = [es.count(e) for e in cols]
+    used = [0] * len(cols)
+    placed = []
+
+    def fill(r, k, left, run):
+        # run counts the generators placed in rows <= r and columns < k
+        if k == len(cols):
+            if left == 0 and r + 1 == len(rows):
+                yield FreeModule((a, a - e) for a, e, n in placed for _ in range(n))
+            elif left == 0:
+                yield from fill(r + 1, 0, degrees.count(rows[r + 1]), 0)
+            return
+        have = run + used[k]
+        top = min(left, room[k] - used[k]) if cols[k] <= rows[r] else 0
+        for n in range(max(0, bound[rows[r], cols[k]] - have), top + 1):
+            used[k] += n
+            placed.append((rows[r], cols[k], n))
+            yield from fill(r, k + 1, left - n, have + n)
+            placed.pop()
+            used[k] -= n
+
+    return list(fill(0, 0, degrees.count(rows[0]), 0))
+
+
+CRITERION_8_SPACES = [(k, p, q) for p in range(2, 7) for k in range(1, p) for q in range(p + 1)]
+
+
+@pytest.mark.parametrize("space", CRITERION_8_SPACES + [(3, 7, 2), (4, 8, 2), (2, 13, 6)])
+def test_tables_above_the_bound_are_the_survivors(space):
+    # The bound is the fieldwise maximum of the kept pages' corner counts;
+    # a dropped page relaxes to a kept one, so it would not raise it.
+    report = solve(*space)
+    grid = _grid(report.pages[0])
+    counts = [_corner_counts(page, grid) for page in reduce_pages(report.pages)]
+    bound = {x: max(c[x] for c in counts) for x in grid}
+    assert sorted(_tables_above(report.pages[0], bound)) == report.survivors
 
 
 # sha256 of solve(k, p, q).to_json_bytes(), the compact encoding of the
