@@ -58,11 +58,12 @@ def _parse_poly(text: str, flag: str):
         raise _CliError(f"bad polynomial for {flag}: {exc}") from exc
 
 
-def _check_kpq(k: int, p: int, q: int):
-    try:
-        check_parameters(k, p, q)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+def _word_and_k(args) -> SignWord:
+    """``--word`` parsed, once ``--k`` is checked against its length."""
+    word = _parse_word(args.word)
+    if args.k < 0 or args.k > word.p:
+        raise _CliError(f"k={args.k} out of range for a length-{word.p} word")
+    return word
 
 
 def _emit_module(module: FreeModule, fmt: str, out) -> None:
@@ -81,6 +82,11 @@ def _add_format(parser, default="table"):
         default=default,
         help="output rendering",
     )
+
+
+def _add_k_word(parser, word_help=None):
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument("--word", required=True, help=word_help)
 
 
 def _add_kpq(parser):
@@ -137,24 +143,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_e1 = sub.add_parser("e1", help="first page for one sign word")
-    p_e1.add_argument("--k", type=int, required=True)
-    p_e1.add_argument("--word", required=True, help="sign word over +/-, e.g. ++--")
+    def command(name, handler, help):
+        """A subparser for ``name``, which ``run`` hands to ``handler``."""
+        parsed = sub.add_parser(name, help=help)
+        parsed.set_defaults(handler=handler)
+        return parsed
+
+    p_e1 = command("e1", _cmd_e1, "first page for one sign word")
+    _add_k_word(p_e1, "sign word over +/-, e.g. ++--")
     _add_format(p_e1)
 
-    p_pages = sub.add_parser("pages", help="distinct first pages over all sign words")
+    p_pages = command("pages", _cmd_pages, "distinct first pages over all sign words")
     _add_kpq(p_pages)
     _add_max_words(p_pages)
     _add_format(p_pages, default="poly")
 
-    p_cand = sub.add_parser(
-        "candidates", help="possible limits of the lowest-tension first page"
+    p_cand = command(
+        "candidates", _cmd_candidates, "possible limits of the lowest-tension first page"
     )
     _add_kpq(p_cand)
     _add_budget(p_cand)
     _add_format(p_cand, default="poly")
 
-    p_solve = sub.add_parser("solve", help="run the full pruned search")
+    p_solve = command("solve", _cmd_solve, "run the full pruned search")
     _add_kpq(p_solve)
     _add_budget(p_solve)
     _add_format(p_solve)
@@ -164,14 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="replace (k, q) by the smaller equivalent parameters first",
     )
 
-    p_story = sub.add_parser("story", help="shift story from one module to another")
+    p_story = command("story", _cmd_story, "shift story from one module to another")
     p_story.add_argument("--a", required=True, help="Poincare polynomial of the start")
     p_story.add_argument("--b", required=True, help="Poincare polynomial of the end")
 
-    p_tw = sub.add_parser("totalweight", help="total weight of any first page")
-    _add_kpq(p_tw)
+    _add_kpq(command("totalweight", _cmd_totalweight, "total weight of any first page"))
 
-    p_val = sub.add_parser("validate", help="classical cross-checks on a module")
+    p_val = command("validate", _cmd_validate, "classical cross-checks on a module")
     _add_kpq(p_val)
     group = p_val.add_mutually_exclusive_group(required=True)
     group.add_argument("--word", help="validate the first page of this sign word")
@@ -180,11 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="module JSON file ('-' for stdin) or Poincare polynomial text",
     )
 
-    p_quot = sub.add_parser(
-        "quotient", help="first page of the quotient by a prefix sub-Grassmannian"
+    p_quot = command(
+        "quotient", _cmd_quotient, "first page of the quotient by a prefix sub-Grassmannian"
     )
-    p_quot.add_argument("--k", type=int, required=True)
-    p_quot.add_argument("--word", required=True)
+    _add_k_word(p_quot)
     p_quot.add_argument("--m", type=int, required=True, help="prefix length")
     _add_format(p_quot)
 
@@ -200,15 +209,11 @@ def _solve(args, k: int, p: int, q: int) -> SolveReport:
 
 
 def _cmd_e1(args, out) -> int:
-    word = _parse_word(args.word)
-    if args.k < 0 or args.k > word.p:
-        raise _CliError(f"k={args.k} out of range for a length-{word.p} word")
-    _emit_module(e1_page(args.k, word), args.format, out)
+    _emit_module(e1_page(args.k, _word_and_k(args)), args.format, out)
     return EXIT_OK
 
 
 def _cmd_pages(args, out) -> int:
-    _check_kpq(args.k, args.p, args.q)
     pages = unique_e1_pages(args.k, args.p, args.q, max_words=args.max_words)
     if args.format == "json":
         payload = {
@@ -225,7 +230,6 @@ def _cmd_pages(args, out) -> int:
 
 
 def _cmd_candidates(args, out) -> int:
-    _check_kpq(args.k, args.p, args.q)
     cands = _solve(args, args.k, args.p, args.q).candidates
     if args.format == "json":
         payload = {"count": len(cands), "candidates": [m.to_json() for m in cands]}
@@ -239,7 +243,6 @@ def _cmd_candidates(args, out) -> int:
 
 def _cmd_solve(args, out) -> int:
     k, p, q = args.k, args.p, args.q
-    _check_kpq(k, p, q)
     if args.normalize:
         nk, np_, nq = normalize_parameters(k, p, q)
         if (nk, nq) != (k, q):
@@ -275,13 +278,11 @@ def _cmd_story(args, out) -> int:
 
 
 def _cmd_totalweight(args, out) -> int:
-    _check_kpq(args.k, args.p, args.q)
     out.write(str(total_weight_formula(args.k, args.p, args.q)) + "\n")
     return EXIT_OK
 
 
 def _cmd_validate(args, out) -> int:
-    _check_kpq(args.k, args.p, args.q)
     if args.word is not None:
         word = _parse_word(args.word)
         if word.p != args.p or word.q != args.q:
@@ -321,25 +322,11 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_quotient(args, out) -> int:
-    word = _parse_word(args.word)
-    if args.k < 0 or args.k > word.p:
-        raise _CliError(f"k={args.k} out of range for a length-{word.p} word")
+    word = _word_and_k(args)
     if not (0 <= args.m < word.p):
         raise _CliError(f"m={args.m} out of range: need 0 <= m < {word.p}")
     _emit_module(e1_quotient_page(args.k, word, args.m), args.format, out)
     return EXIT_OK
-
-
-_COMMANDS = {
-    "e1": _cmd_e1,
-    "pages": _cmd_pages,
-    "candidates": _cmd_candidates,
-    "solve": _cmd_solve,
-    "story": _cmd_story,
-    "totalweight": _cmd_totalweight,
-    "validate": _cmd_validate,
-    "quotient": _cmd_quotient,
-}
 
 
 def run(argv: list[str], out=None) -> int:
@@ -350,7 +337,12 @@ def run(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _COMMANDS[args.command](args, out)
+        if "p" in vars(args):  # every command that takes --p takes --k and --q
+            try:
+                check_parameters(args.k, args.p, args.q)
+            except ValueError as exc:
+                raise _CliError(str(exc)) from exc
+        return args.handler(args, out)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,7 +38,7 @@ import struct
 import time
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from itertools import accumulate, chain, groupby, repeat
 from operator import itemgetter
@@ -64,12 +64,18 @@ class Budget:
     ``max_words`` bounds the number of sign words a page enumeration may
     examine; ``max_seconds`` optionally bounds wall-clock time for a
     candidate enumeration or a ``solve``.  Any cap may be None for
-    unlimited.
+    unlimited; a negative or NaN cap raises ``ValueError``.
     """
 
     max_modules: int | None = DEFAULT_MAX_MODULES
     max_words: int | None = DEFAULT_MAX_WORDS
     max_seconds: float | None = None
+
+    def __post_init__(self):
+        for cap in fields(self):
+            value = getattr(self, cap.name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{cap.name} must be None or nonnegative, got {value!r}")
 
 
 DEFAULT_BUDGET = Budget()
@@ -297,11 +303,14 @@ def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
     so only earlier pages can be targets, and the first page is always
     kept.  Each page is checked against the kept pages only: relaxation
     is transitive, so the result is the same as checking every earlier
-    page.  A page with other margins than the first raises ``ValueError``.
+    page.  A page with other margins than the first, or with lower tension
+    than the page before it, raises ``ValueError``.
     """
     margins = _margins(pages[0]) if pages else None
     if any(_margins(page) != margins for page in pages):
         raise ValueError("every page must have the first page's degrees and values of e")
+    if any(a.tension() > b.tension() for a, b in zip(pages, pages[1:])):
+        raise ValueError("pages must be sorted by tension ascending")
     return [pages[i] for i, _ in _kept_pages(pages, DEFAULT_BUDGET, 0.0)[1]] if pages else []
 
 

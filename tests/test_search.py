@@ -4,7 +4,7 @@ import time
 import tracemalloc
 from collections import deque
 from functools import cache, reduce
-from itertools import count, permutations
+from itertools import combinations_with_replacement, count, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -222,6 +222,56 @@ def test_closure_of_a_direct_sum_is_the_sum_of_closures(a, b):
     _assert_stories_are_corner_count_differences(a + b)
 
 
+def _box_modules():
+    """Every cell-like module (0 <= b <= a) with a <= 4 and 1 to 5
+    generators: 15,503 modules."""
+    cells = [(a, b) for a in range(5) for b in range(a + 1)]
+    for n in range(1, 6):
+        yield from map(FreeModule, combinations_with_replacement(cells, n))
+
+
+def _assert_components_share_no_corner(module):
+    # The moves over the closed cells link each move's four cells into
+    # components; the rectangle {a <= i < c, e2 <= t < e1} of a move from
+    # (a, e1) to (c, e2), e = a - b, must meet no other component's.
+    cells = set(module.gens)
+    while True:
+        reached = {x for move in possible_differentials(cells) for x in shift_result(*move)}
+        if reached <= cells:
+            break
+        cells |= reached
+    moves = possible_differentials(cells)
+    root = {cell: cell for cell in cells}
+
+    def find(cell):
+        while root[cell] != cell:
+            cell = root[cell]
+        return cell
+
+    for move in moves:
+        for cell in (*move, *shift_result(*move)):
+            root[find(cell)] = find(move[0])
+    rows, cols = (sorted(set(margin)) for margin in search._margins(module))
+    owner = {}
+    for (a, b), (c, d) in moves:
+        for corner in [(i, t) for i in rows if a <= i < c for t in cols if c - d <= t < a - b]:
+            assert owner.setdefault(corner, find((a, b))) == find((a, b)), (module, corner)
+
+
+def test_move_components_share_no_corner_in_the_box():
+    modules = list(_box_modules())
+    assert len(modules) == 15_503
+    for module in modules:
+        _assert_components_share_no_corner(module)
+
+
+def test_move_components_share_no_corner_on_first_pages():
+    spaces = [(k, p, q) for p in range(2, 10) for k in range(1, p) for q in range(p + 1)]
+    assert len(spaces) == 276
+    for space in spaces + [(2, 11, 5), (2, 13, 6), (4, 8, 2), (4, 8, 3), (3, 8, 4)]:
+        _assert_components_share_no_corner(unique_e1_pages(*space)[0])
+
+
 # These first pages split into 4, 5 and 7 move components, so their
 # stories are sums of the components' stories.
 @pytest.mark.parametrize("space", [(3, 7, 2), (2, 9, 4), (2, 11, 5)])
@@ -254,6 +304,17 @@ def test_module_budget_counts_the_start():
         closure_oracle(RP2_H, max_modules=0)
     assert candidate_outcomes(RP2_H, budget=Budget(max_modules=1)) == [RP2_H]
     assert closure_oracle(RP2_H, max_modules=1) == [RP2_H]
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [{"max_seconds": float("nan")}, {"max_seconds": -0.5}, {"max_modules": -1},
+     {"max_words": -5}],
+    ids=repr,
+)
+def test_budget_refuses_negative_and_nan_caps(caps):
+    with pytest.raises(ValueError, match=f"{next(iter(caps))} must be None or nonnegative"):
+        Budget(**caps)
 
 
 def test_candidate_time_budget():
@@ -371,6 +432,15 @@ def test_count_down_set_matches_closure_on_first_page(space):
     assert search._count_down_set(page, Budget(max_modules=None), 0.0) == len(closure)
 
 
+def test_closure_is_the_down_set_in_the_box():
+    # The closure lies inside the down-set, so equal sizes mean equal sets:
+    # on these modules the module cap aborts exactly the runs a walk would.
+    unlimited = Budget(max_modules=None)
+    for module in _box_modules():
+        states = search._closure(module, unlimited, time.monotonic())[1]
+        assert len(states) == search._count_down_set(module, unlimited, 0.0), module
+
+
 @given(hand_modules)
 @settings(max_examples=500, deadline=None)
 def test_count_down_set_matches_oracle_and_caps_exactly(module):
@@ -407,6 +477,14 @@ def test_reduce_pages_singleton():
 def test_reduce_pages_published_count():
     pages = unique_e1_pages(3, 6, 3)
     assert len(reduce_pages(pages[1:])) == 2
+
+
+def test_reduce_pages_refuses_pages_out_of_tension_order():
+    # Reversed, the (3,6,3) census would keep all 6 pages instead of 3.
+    pages = unique_e1_pages(3, 6, 3)
+    assert len(pages) == 6 and len(reduce_pages(pages)) == 3
+    with pytest.raises(ValueError, match="sorted by tension"):
+        reduce_pages(pages[::-1])
 
 
 @pytest.mark.parametrize("space", [(1, 3, 1), (3, 6, 3), (2, 8, 4), (2, 9, 4)])
