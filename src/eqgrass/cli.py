@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .bipoly import PolynomialParseError, parse_bipoly
-from .modalg import FreeModule, module_from_poly, render_rank_table
-from .oracle import validate_page
+from .modalg import FreeModule, module_poly, poincare_from_json, render_rank_table
+from .oracle import validate_poincare
 from .schubert import (
     SignWord,
     check_parameters,
@@ -269,7 +269,10 @@ def _cmd_solve(args, out) -> int:
 def _cmd_story(args, out) -> int:
     fa = _parse_poly(args.a, "--a")
     fb = _parse_poly(args.b, "--b")
-    story = (fb - fa).divide_by_k11()
+    # K_{1,1} = (1 - xy)(y - 1), two coprime irreducibles, so the
+    # difference is a multiple exactly when both substitutions vanish.
+    diff = fb - fa
+    story = None if diff.underlying() or diff.fixed_points() else diff.divide_by_k11()
     if story is None:
         out.write("not related by shifts\n")
     else:
@@ -290,7 +293,7 @@ def _cmd_validate(args, out) -> int:
                 f"word {args.word!r} has (p, q) = ({word.p}, {word.q}), "
                 f"not ({args.p}, {args.q})"
             )
-        module = e1_page(args.k, word)
+        poly = e1_page(args.k, word).poincare()
     else:
         path = Path(args.module)
         try:
@@ -303,13 +306,14 @@ def _cmd_validate(args, out) -> int:
             else:
                 raw = path.read_text(encoding="utf-8") if named else args.module
             raw = raw.strip()
+            # Counts stay counts: no generator is built per unit of one.
             if raw.startswith("{"):
-                module = FreeModule.from_json(json.loads(raw))
+                poly = poincare_from_json(json.loads(raw))
             else:
-                module = module_from_poly(parse_bipoly(raw))
+                poly = module_poly(parse_bipoly(raw))
         except (OSError, ValueError) as exc:
             raise _CliError(f"bad module: {exc}") from exc
-    diag = validate_page(module, args.k, args.p, args.q)
+    diag = validate_poincare(poly, args.k, args.p, args.q)
     for name, flag in [
         ("underlying", diag.underlying_ok),
         ("fixed-set", diag.fixed_set_ok),

@@ -15,7 +15,7 @@ division in ``shift_story`` is its independent oracle in the tests.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterable
 
 from .bipoly import BiPoly
@@ -68,15 +68,11 @@ class FreeModule:
 
     def __init__(self, gens: Iterable[tuple[int, int]] = ()):
         pairs = list(map(tuple, gens))
-        flat = list(chain.from_iterable(pairs))
-        ints = set(map(type, flat)) <= {int} and min(flat, default=0) >= 0
-        if not ints or len(flat) != 2 * len(pairs):
-            # Checked in bulk; the loop only names the first bad entry.
-            for a, b in pairs:
-                if type(a) is not int or type(b) is not int:
-                    raise ValueError(f"bidegree ({a!r}, {b!r}) is not a pair of ints")
-                if a < 0 or b < 0:
-                    raise ValueError(f"bidegree ({a}, {b}) has a negative entry")
+        for a, b in pairs:
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"bidegree ({a!r}, {b!r}) is not a pair of ints")
+            if a < 0 or b < 0:
+                raise ValueError(f"bidegree ({a}, {b}) has a negative entry")
         pairs.sort()
         object.__setattr__(self, "_gens", tuple(pairs))
         object.__setattr__(self, "_tension", None)
@@ -217,26 +213,44 @@ class FreeModule:
 
     @classmethod
     def from_json(cls, data: dict) -> "FreeModule":
-        if not isinstance(data, dict) or "generators" not in data:
-            raise ValueError("module JSON must be an object with a 'generators' key")
-        entries = data["generators"]
-        if not isinstance(entries, list):
-            raise ValueError("'generators' must be a list of [a, b, count] triples")
-        for entry in entries:
-            if type(entry) is not list or [type(x) for x in entry] != [int, int, int]:
-                raise ValueError(f"generator {entry!r} is not an [a, b, count] triple of ints")
-            if entry[2] < 0:
-                raise ValueError(f"generator {entry!r} has a negative count")
-        return cls(chain.from_iterable([(a, b)] * k for a, b, k in entries))
+        return module_from_poly(poincare_from_json(data))
 
 
-def module_from_poly(f: BiPoly) -> FreeModule:
-    """Inverse of poincare; rejects polynomials with negative coefficients."""
+def poincare_from_json(data: dict) -> BiPoly:
+    """The Poincare polynomial of module JSON, ``{"generators": [[a, b,
+    count], ...]}``, with every entry checked and no generator built;
+    ``FreeModule.from_json`` builds the module from it."""
+    if not isinstance(data, dict) or "generators" not in data:
+        raise ValueError("module JSON must be an object with a 'generators' key")
+    entries = data["generators"]
+    if not isinstance(entries, list):
+        raise ValueError("'generators' must be a list of [a, b, count] triples")
+    for entry in entries:
+        if type(entry) is not list or [type(x) for x in entry] != [int, int, int]:
+            raise ValueError(f"generator {entry!r} is not an [a, b, count] triple of ints")
+        if entry[2] < 0:
+            raise ValueError(f"generator {entry!r} has a negative count")
+    counts: Counter = Counter()
+    for a, b, k in entries:
+        if k and (a < 0 or b < 0):
+            raise ValueError(f"bidegree ({a}, {b}) has a negative entry")
+        counts[a, b] += k
+    return BiPoly(+counts)  # + drops zero counts, whose a or b may be negative
+
+
+def module_poly(f: BiPoly) -> BiPoly:
+    """f, once checked to be the Poincare polynomial of a module: no
+    coefficient may be negative."""
     bad = [e for e, c in f.terms() if c < 0]
     if bad:
         monos = ", ".join(f"x^{i}y^{j}" for i, j in bad)
         raise ValueError(f"negative coefficient on {monos}: not a module")
-    return FreeModule.from_counts(dict(f.terms()))
+    return f
+
+
+def module_from_poly(f: BiPoly) -> FreeModule:
+    """Inverse of poincare; rejects polynomials with negative coefficients."""
+    return FreeModule(chain.from_iterable(repeat(g, k) for g, k in module_poly(f).terms()))
 
 
 def render_rank_table(module: FreeModule) -> str:

@@ -14,9 +14,11 @@ of the same space must reach the true answer as well.  The solver:
 Each rule is written once.  ``modalg.is_legal_shift`` is the move rule,
 ``modalg.possible_differentials`` lists the (src, tgt) moves it admits,
 ``modalg.shift_result`` is the result of a move and ``reduce_pages`` is
-step c.  Steps c and d test relaxation as one integer comparison, of
-corner keys (``_corner_keys``) and of stories; ``FreeModule.can_relax_to``
-checks both in the tests.  Step b, the closure, replays single shifts
+step c.  Steps c and d test relaxation as one integer comparison of
+packed corner counts: step c on page 0's whole grid (``_corner_keys``),
+step d on the corners the closure's moves change, where a candidate's
+story is its own counts; ``FreeModule.can_relax_to`` checks both in the
+tests.  Step b, the closure, replays single shifts
 breadth-first, recomputing the possible differentials at every
 intermediate module, so a summand shifted down by one move may support
 the next, as re-running the sequence after each cell attachment would.
@@ -39,8 +41,8 @@ import time
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
-from itertools import accumulate, chain, groupby, repeat
+from functools import cache, cached_property, partial
+from itertools import accumulate, chain, groupby, repeat, starmap
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -92,19 +94,21 @@ def candidate_outcomes(module: FreeModule, strategy: str = DEFAULT_STRATEGY,
     return [_module(cells, table) for table in _tables(cells, states, len(module))]
 
 
-def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, list, list, list]:
+def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, list, tuple, list]:
     """The sorted cells of ``module``'s closure, its states in descending
-    order, the corners its moves change and each state's story on them;
-    ``budget.max_seconds`` counts from ``began``."""
+    order, ``(guard, count)`` and each state's story, its own ``count``:
+    ``count(gens)`` packs the number of ``gens`` in each corner of C, the
+    corners {a <= i, e <= t} that the moves change, a field each below a
+    guard bit.  ``budget.max_seconds`` counts from ``began``."""
     # The count comes first, so no cell or state is built past the module
     # cap.  The cells are closed, so ``moves`` holds every move any state
     # makes; a move takes one generator from each of two cells and adds one
     # to each of two, all four in one component.  A component's walk thus
     # reads and writes only its own cells' counts and keeps their total, so
     # the closure is exactly the product of the components' closures, and
-    # as rises add along a path a story is the sum of its parts'.  A move
-    # from (a, e1) to (c, e2), e = a - b, adds one to each corner count
-    # {a <= i, e <= t} with a <= i < c and e2 <= t < e1.
+    # as rises add along a path a story is the start's count plus its
+    # parts' rises.  A move from (a, e1) to (c, e2), e = a - b, adds one to
+    # each corner count {a <= i, e <= t} with a <= i < c and e2 <= t < e1.
     if budget.max_modules is not None:
         _check_cap(_count_down_set(module, budget, began), budget)
     cells = set(module.gens)
@@ -122,8 +126,13 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     rows, cols = (sorted(set(margin)) for margin in _margins(module))
     rects = [[(i, t) for i in rows if src[0] <= i < tgt[0] for t in cols
               if tgt[0] - tgt[1] <= t < src[0] - src[1]] for src, tgt, _, _ in moves]
-    corners = sorted(set(chain.from_iterable(rects)))
-    bit = {corner: 1 << (len(module).bit_length() + 1) * j for j, corner in enumerate(corners)}
+    bits = len(module).bit_length() + 1
+    bit = {x: 1 << bits * j for j, x in enumerate(sorted(set(chain.from_iterable(rects))))}
+
+    @cache
+    def unit(a: int, b: int) -> int:  # a generator's count in each corner of C
+        return sum(u for (i, t), u in bit.items() if a <= i and a - b <= t)
+
     root = {i: i for i in shift.values()}  # a union-find over the cells, by shift
 
     def find(i: int) -> int:
@@ -164,7 +173,7 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
         parts.append(seen)
     # Joining the largest part last keeps the product built before it
     # small, so only a fraction of the states is ever held twice.
-    seen = {sum(shares.values()): 0}
+    seen = {sum(shares.values()): sum(starmap(unit, module.gens))}
     for part in sorted(parts, key=len):
         _check_clock(began, budget, "candidate enumeration")
         seen = {s + t: u + v for s, u in seen.items() for t, v in part.items()}
@@ -172,7 +181,8 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     # smaller one, and its table the larger int, so descending states
     # give the canonical order.
     states = sorted(seen, reverse=True)
-    return cells, states, corners, list(map(seen.get, states))
+    guard = sum(bit.values()) << bits - 1
+    return cells, states, (guard, lambda gens: sum(starmap(unit, gens))), [*map(seen.get, states)]
 
 
 def _count_down_set(page0: FreeModule, budget: Budget, began: float) -> int:
@@ -281,9 +291,9 @@ def _corner_keys(page0: FreeModule) -> tuple[int, Callable]:
     return key([(rows[0], rows[0] - cols[0])]) << width - 1 if rows else 0, key
 
 
-def _kept_pages(pages: Sequence[FreeModule], budget: Budget, began: float) -> tuple:
-    """``_corner_keys(pages[0])``'s key and the (index, key) of each kept
-    page; every page must have page 0's margins, as a census's pages do."""
+def _kept_pages(pages: Sequence[FreeModule], budget: Budget, began: float) -> list:
+    """The (index, ``_corner_keys(pages[0])`` key) of each kept page; every
+    page must have page 0's margins, as a census's pages do."""
     guard, key = _corner_keys(pages[0])
     kept = []
     for i, page in enumerate(pages):
@@ -291,7 +301,7 @@ def _kept_pages(pages: Sequence[FreeModule], budget: Budget, began: float) -> tu
         page_key = key(page.gens)
         if not any(((t | guard) - page_key) & guard == guard for _, t in kept):
             kept.append((i, page_key))
-    return key, kept
+    return kept
 
 
 def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
@@ -311,7 +321,7 @@ def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
         raise ValueError("every page must have the first page's degrees and values of e")
     if any(a.tension() > b.tension() for a, b in zip(pages, pages[1:])):
         raise ValueError("pages must be sorted by tension ascending")
-    return [pages[i] for i, _ in _kept_pages(pages, DEFAULT_BUDGET, 0.0)[1]] if pages else []
+    return [pages[i] for i, _ in _kept_pages(pages, DEFAULT_BUDGET, 0.0)] if pages else []
 
 
 def subspace_filter(candidates: Iterable[FreeModule], h_sub: FreeModule,
@@ -396,30 +406,21 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
     try:
         tick = partial(_check_clock, began, budget, "sign-word census")
         pages = unique_e1_pages(k, p, q, budget.max_words, tick)
-        cells, states, corners, stories = _closure(pages[0], budget, began)
+        cells, states, (top, count), stories = _closure(pages[0], budget, began)
         # Pages that can shift to any other page are redundant: the
         # target page filters at least as hard.  Page 0, the closure's
         # start, filters nothing (every candidate is reachable from it)
         # so it is never used.  Filters run from the highest-tension page
         # down; the order changes only how removals split across the
         # log, never the survivor set.
-        key, kept = _kept_pages(pages, budget, began)
-        filters = kept[:0:-1]
+        filters = [i for i, _ in _kept_pages(pages, budget, began)[:0:-1]]
         # Candidate B passes page P when B_x >= P_x at every corner x, so
-        # when its story covers P's need, max(0, P_x - page0_x), on C.  Off
-        # C the need is 0: if P_x > page0_x at x = (i, t), then by P's
-        # degrees and values of e page 0 has generators at (a <= i, e1 > t)
-        # and (c > i, e2 <= t), a move of page 0 that changes x.  In a key,
-        # x's field starts at the lowest bit of key([(i, i - t)]).
-        width = len(pages[0]).bit_length() + 1
-        mask = (1 << width) - 1
-        offsets = [(u & -u).bit_length() - 1 for u in (key([(i, i - t)]) for i, t in corners)]
-        floor = [kept[0][1] >> offset & mask for offset in offsets]
-        needs = [(i, sum(max(0, (page_key >> offset & mask) - f) << width * j
-                         for j, (offset, f) in enumerate(zip(offsets, floor))))
-                 for i, page_key in filters]
-        top = sum(1 << width * j + width - 1 for j in range(len(corners)))
-        removed: dict[int, list[int]] = {i: [] for i, _ in filters}
+        # when its story covers P's own counts on C.  Off C, B_x = page0_x
+        # >= P_x: if P_x > page0_x at x = (i, t), then by P's degrees and
+        # values of e page 0 has generators at (a <= i, e1 > t) and
+        # (c > i, e2 <= t), a move of page 0 that changes x.
+        needs = [(i, count(pages[i].gens)) for i in filters]
+        removed: dict[int, list[int]] = {i: [] for i in filters}
         alive = []
         for c, story in enumerate(stories):
             _check_clock(began, budget, "candidate filter")
@@ -432,5 +433,5 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
                 alive.append(c)
     except BudgetExceededError as exc:
         return SolveReport(k, p, q, pages, failure=str(exc))
-    log = [(i, removed[i]) for i, _ in filters if removed[i]]
-    return SolveReport(k, p, q, pages, cells, states, [i for i, _ in filters], log, alive)
+    log = [(i, removed[i]) for i in filters if removed[i]]
+    return SolveReport(k, p, q, pages, cells, states, filters, log, alive)

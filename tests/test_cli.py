@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,21 @@ def test_story_unrelated():
     code, text = invoke(["story", "--a", "1", "--b", "x"])
     assert code == EXIT_OK
     assert text == "not related by shifts\n"
+
+
+@pytest.mark.parametrize(
+    "a, b", [("1", "x^400y^400"), ("x^400y^400", "x^400y^800")], ids=["y=1", "y=1/x"]
+)
+def test_story_rejects_a_non_multiple_before_dividing(a, b):
+    # Long division took 2.4 and 9.1 s to reject these: O(n^2) steps, each
+    # rescanning the remainder.  The difference fails one substitution.
+    best = float("inf")
+    for _ in range(3):
+        began = time.perf_counter()
+        code, text = invoke(["story", "--a", a, "--b", b])
+        best = min(best, time.perf_counter() - began)
+        assert (code, text) == (EXIT_OK, "not related by shifts\n")
+    assert best < 0.1
 
 
 # Stories from page 0 of Gr_3(R^{6,3}) to each of its six survivors, in
@@ -228,6 +245,25 @@ def test_validate_poly_module_failing():
     )
     assert code == EXIT_AMBIGUOUS
     assert "FAIL" in text
+
+
+@pytest.mark.parametrize("module", ['{"generators": [[0, 0, 1000000000]]}', "1000000000"])
+def test_validate_checks_counts_without_building_generators(module):
+    # One generator per unit of a count of 10**6 took 1.0 s and 32 MiB.
+    tracemalloc.start()
+    try:
+        code, text = invoke(["validate", "--k", "2", "--p", "4", "--q", "2", "--module", module])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_AMBIGUOUS
+    assert text == (
+        "underlying: FAIL\nfixed-set: FAIL\ntotal-weight: FAIL\n"
+        "  underlying: expected x^4 + x^3 + 2x^2 + x + 1, got 1000000000\n"
+        "  fixed set: expected x^2 + 2x + 3, got 1000000000\n"
+        "  total weight: expected 8, got 0\n"
+    )
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

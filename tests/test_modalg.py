@@ -316,8 +316,8 @@ def test_init_rejects_entries_that_are_not_ints(gens):
     ids=repr,
 )
 def test_init_error_messages(gens, message):
-    # The bulk check falls back to the per-entry loop to name the first
-    # bad entry, with the messages the loop has always raised.
+    # One loop checks every entry and names the first bad one, with the
+    # messages it has always raised.
     with pytest.raises(ValueError) as info:
         FreeModule(gens)
     assert message in str(info.value)

@@ -4,7 +4,7 @@ import time
 import tracemalloc
 from collections import deque
 from functools import cache, reduce
-from itertools import combinations_with_replacement, count, permutations
+from itertools import combinations, combinations_with_replacement, count, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -170,20 +170,29 @@ def test_closure_stories_are_corner_count_differences(module):
 
 
 def _assert_stories_are_corner_count_differences(module):
-    # The story the walk carries for a state is its corner counts less the
-    # start's: field j holds corner j of C, and every corner off C is 0.
-    cells, states, corners, stories = search._closure(
+    # The story the walk carries for a state is its own corner counts on C,
+    # the corners that the moves over the closed cells change: field j
+    # holds corner j of sorted C, no field lies past C, and the closure's
+    # packer counts a module the same way.  Off C every state keeps the
+    # start's counts.
+    rows, cols = (sorted(set(margin)) for margin in search._margins(module))
+    on_c = sorted({(i, t) for (a, b), (c, d) in _closed_moves(module) for i in rows
+                   if a <= i < c for t in cols if c - d <= t < a - b})
+    cells, states, (guard, count), stories = search._closure(
         module, Budget(max_modules=None), time.monotonic()
     )
     width = len(module).bit_length() + 1
+    assert guard == sum(1 << width * j + width - 1 for j in range(len(on_c)))
     start = _corner_counts(module, _grid(module))
     closure = candidate_outcomes(module)
     assert len(stories) == len(closure)
     for target, story in zip(closure, stories):
-        fields = {x: story >> width * j & (1 << width) - 1 for j, x in enumerate(corners)}
-        assert story >> width * len(corners) == 0
-        rise = {x: n - start[x] for x, n in _corner_counts(target, start).items()}
-        assert rise == {x: fields.get(x, 0) for x in start}
+        fields = [story >> width * j & (1 << width) - 1 for j in range(len(on_c))]
+        assert story >> width * len(on_c) == 0
+        assert fields == list(_corner_counts(target, on_c).values())
+        assert count(target.gens) == story
+        off_c = [x for x in start if x not in on_c]
+        assert _corner_counts(target, off_c) == {x: start[x] for x in off_c}
 
 
 @given(hand_modules)
@@ -230,18 +239,22 @@ def _box_modules():
         yield from map(FreeModule, combinations_with_replacement(cells, n))
 
 
-def _assert_components_share_no_corner(module):
-    # The moves over the closed cells link each move's four cells into
-    # components; the rectangle {a <= i < c, e2 <= t < e1} of a move from
-    # (a, e1) to (c, e2), e = a - b, must meet no other component's.
+def _closed_moves(module):
+    """The moves over module's cells closed under the move rule."""
     cells = set(module.gens)
     while True:
         reached = {x for move in possible_differentials(cells) for x in shift_result(*move)}
         if reached <= cells:
-            break
+            return possible_differentials(cells)
         cells |= reached
-    moves = possible_differentials(cells)
-    root = {cell: cell for cell in cells}
+
+
+def _assert_components_share_no_corner(module):
+    # The moves over the closed cells link each move's four cells into
+    # components; the rectangle {a <= i < c, e2 <= t < e1} of a move from
+    # (a, e1) to (c, e2), e = a - b, must meet no other component's.
+    moves = _closed_moves(module)
+    root = {cell: cell for move in moves for cell in (*move, *shift_result(*move))}
 
     def find(cell):
         while root[cell] != cell:
@@ -671,6 +684,35 @@ def test_tables_above_the_bound_are_the_survivors(space):
     counts = [_corner_counts(page, grid) for page in reduce_pages(report.pages)]
     bound = {x: max(c[x] for c in counts) for x in grid}
     assert sorted(_tables_above(report.pages[0], bound)) == report.survivors
+
+
+def _un_moves(module):
+    """Every module that one move would take to module: generators at
+    (a, e2) and (c, e1), e = a - b, with a < c and e2 < e1 <= a, go back
+    to (a, e1) and (c, e2)."""
+    for (a, b), (c, d) in combinations(sorted(set(module.gens)), 2):
+        if a < c and a - b < c - d <= a:
+            gens = list(module.gens)
+            gens.remove((a, b))
+            gens.remove((c, d))
+            yield FreeModule(gens + [(a, a - c + d), (c, b + c - a)])
+
+
+def test_every_down_set_table_has_an_un_move_inside_the_down_set():
+    # The lemma behind closure = down-set: by induction on tension down
+    # from page 0, each table of page 0's down-set is one move from a
+    # table of the closure.  No closure is walked here.  Besides page 0
+    # the criterion-8 down-sets hold 68 tables, the other three 621.
+    tables = 0
+    for space in CRITERION_8_SPACES + [(3, 7, 2), (2, 9, 4), (2, 11, 5)]:
+        page0 = unique_e1_pages(*space)[0]
+        down_set = _tables_above(page0, _corner_counts(page0, _grid(page0)))
+        assert page0 in down_set
+        for table in down_set:
+            if table != page0:
+                tables += 1
+                assert any(map(page0.can_relax_to, _un_moves(table))), (space, table)
+    assert tables == 68 + 621
 
 
 # sha256 of solve(k, p, q).to_json_bytes(), the compact encoding of the
