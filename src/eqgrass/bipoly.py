@@ -283,7 +283,8 @@ def parse_bipoly(text: str) -> BiPoly:
     if not compact:
         raise PolynomialParseError("empty polynomial text")
     terms: dict[tuple[int, int], int] = {}
-    for chunk in filter(None, re.split(r"(?=[+-])", compact)):
+    # A sign right after '^' belongs to the exponent, so the term stays whole.
+    for chunk in filter(None, re.split(r"(?<!\^)(?=[+-])", compact)):
         sign = -1 if chunk[0] == "-" else 1
         body = chunk[1:] if chunk[0] in "+-" else chunk
         if not body:

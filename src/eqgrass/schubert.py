@@ -14,18 +14,24 @@ pivot column carry different letters.  The first page of the filtration
 spectral sequence then has one generator per cell, placed at
 (dimension, weight).
 
-Every page builder computes weights by one bitmask formula: bit j - 1
-stands for column j, a word is the mask of its sign letters, and each
-row of a cell is its pivot bit with the mask of its free columns.
+Every page builder computes weights by one formula on packed column
+slices, with a field for each row of the cells.  Per column j, free[j]
+has a one in each row where j is free and pivot[j] an all-ones field in
+each row whose pivot is j; D holds each row's count of free columns.
+For a word with sign positions S, A = sum of free[j] over S and M = sum
+of pivot[j] over S give the row weights (A & ~M) | ((D - A) & M): a row
+with a sign pivot weighs its free trivial columns, any other row its
+free sign columns.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, repeat
-from operator import getitem
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .modalg import FreeModule
 
@@ -67,8 +73,9 @@ class SignWord:
         return "".join("-" if s else "+" for s in self.signs)
 
     @property
-    def mask(self) -> int:
-        return sum(1 << j for j, s in enumerate(self.signs) if s)
+    def positions(self) -> tuple[int, ...]:
+        """The 0-based positions of the sign letters."""
+        return tuple(j for j, s in enumerate(self.signs) if s)
 
 
 def enumerate_cells(k: int, p: int) -> list[tuple[int, ...]]:
@@ -79,29 +86,47 @@ def enumerate_cells(k: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, p + 1), k))
 
 
-def _cell_rows(cells: Iterable[tuple[int, ...]]) -> tuple[list, list]:
-    """Each cell's (dimension, weight) pairs indexed by weight, shared
-    by every page, and the rows of all cells in order.  A row is (pivot
-    bit, mask of the columns left of the pivot that are not pivots)."""
-    gens, rows = [], []
-    for pivots in cells:
-        taken = sum(1 << (c - 1) for c in pivots)
-        cell = [(1 << (c - 1), ((1 << (c - 1)) - 1) & ~taken) for c in pivots]
-        dim = sum(free.bit_count() for _, free in cell)
-        gens.append(tuple((dim, w) for w in range(dim + 1)))
-        rows += cell
-    return gens, rows
+def _typecode(size: int) -> str:
+    """The smallest struct integer code whose fields hold ``size``."""
+    return next(t for t in "BHIQ" if size < 1 << 8 * struct.calcsize(">" + t))
 
 
-def _bidegrees(gens: list, rows: list, k: int, mask: int) -> list[tuple[int, int]]:
-    """(dimension, weight) of each cell under the word whose sign letters
-    are the set bits of ``mask``: a row weighs the free columns whose
-    letter differs from its pivot's."""
-    flip = ~mask
-    weights = [(free & (flip if mask & bit else mask)).bit_count() for bit, free in rows]
-    # Each cell owns k consecutive rows; with k = 0 the one cell is empty.
-    per_cell = map(sum, zip(*[iter(weights)] * k)) if k else repeat(0)
-    return list(map(getitem, gens, per_cell))
+def _weigher(cells: list[tuple[int, ...]], k: int, p: int) -> tuple[str, int, Callable]:
+    """``(code, bits, weigh)``: ``weigh(signs)`` gives each cell's dimension
+    d and weight w under the word whose sign letters sit at the 0-based
+    positions ``signs``, as ``d << bits | w``, which the struct integer
+    code ``code`` holds.  Each cell has k of the p columns."""
+    bits = (k * (p - k)).bit_length()  # k(p - k) is the largest dimension
+    code = _typecode(k * (p - k) << bits | k * (p - k))
+    size = struct.calcsize("<" + code)
+    stride = max(k, 1) * size  # a cell's rows; with k = 0 one empty row
+    n = stride * len(cells)
+    free = [bytearray(n) for _ in range(p)]
+    pivot = [bytearray(n) for _ in range(p)]
+    dims = bytearray(n)
+    for at, pivots in zip(range(0, n, stride), cells):
+        taken = {c - 1 for c in pivots}
+        dim = 0
+        for row, c in zip(range(at, n, size), pivots):
+            cols = [j for j in range(c - 1) if j not in taken]
+            for j in cols:
+                free[j][row] = 1
+            pivot[c - 1][row:row + size] = b"\xff" * size
+            dim += len(cols)
+        dims[at:at + size] = (dim << bits).to_bytes(size, "little")
+    ints = partial(int.from_bytes, byteorder="little")
+    free, pivot, dims = [*map(ints, free)], [*map(ints, pivot)], ints(dims)
+    d = sum(free)  # each row's count of free columns
+    fold = range(0, 8 * size * k, 8 * size)  # sums a cell's rows into its first
+    unpack = struct.Struct("<" + f"{code}{stride - size}x" * len(cells)).unpack
+
+    def weigh(signs: Sequence[int]) -> tuple[int, ...]:
+        a = sum(map(free.__getitem__, signs))  # each row's free sign columns
+        m = sum(map(pivot.__getitem__, signs))  # all ones in rows with a sign pivot
+        rows = (a & ~m) | ((d - a) & m)
+        return unpack(sum((rows >> s for s in fold), dims).to_bytes(n, "little"))
+
+    return code, bits, weigh
 
 
 def cell_bidegree(pivots: tuple[int, ...], word: SignWord) -> tuple[int, int]:
@@ -116,15 +141,17 @@ def cell_bidegree(pivots: tuple[int, ...], word: SignWord) -> tuple[int, int]:
         raise ValueError(
             f"sign word of length {word.p} too short for pivots {pivots}"
         )
-    return _bidegrees(*_cell_rows([pivots]), len(pivots), word.mask)[0]
+    _, bits, weigh = _weigher([pivots], len(pivots), word.p)
+    return divmod(weigh(word.positions)[0], 1 << bits)
 
 
 def e1_page(k: int, word: SignWord) -> FreeModule:
     """First page of the filtration spectral sequence: one generator
     per cell at (dimension, weight)."""
-    gens = _bidegrees(*_cell_rows(enumerate_cells(k, word.p)), k, word.mask)
-    assert all(0 <= b <= a for a, b in gens)
-    return FreeModule(gens)
+    _, bits, weigh = _weigher(enumerate_cells(k, word.p), k, word.p)
+    page = FreeModule(map(divmod, weigh(word.positions), repeat(1 << bits)))
+    assert all(0 <= b <= a for a, b in page.gens)
+    return page
 
 
 def _sign_positions(p: int, q: int) -> Iterable[tuple[int, ...]]:
@@ -139,6 +166,53 @@ def sign_words(p: int, q: int) -> list[SignWord]:
     return [SignWord(tuple(i in signs for i in range(p))) for signs in _sign_positions(p, q)]
 
 
+class _Made(dict):
+    """A dict that makes each missing value from its key, once."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _census(k: int, p: int, q: int, max_words: int | None = None,
+            tick: Callable | None = None) -> tuple[Callable, list[bytes]]:
+    """``(gens, pages)``: the distinct first pages over all sign words in
+    ``unique_e1_pages``' order, each packed in bytes, and ``gens(page)``,
+    which gives a page's generators in canonical order."""
+    positions = _sign_positions(p, q)
+    n_words = math.comb(p, q)
+    if max_words is not None and n_words > max_words:
+        raise BudgetExceededError(
+            f"(k={k}, p={p}, q={q}) needs {n_words} sign words, over the "
+            f"budget of {max_words}; raise the word budget to continue"
+        )
+    cells = enumerate_cells(k, p)
+    code, bits, weigh = _weigher(cells, k, p)
+    # A page is its generators d << bits | w, sorted and packed big-endian,
+    # so that bytes order is canonical module order among pages of equal
+    # tension.
+    packed = struct.Struct(f">{len(cells)}{code}")
+    pages = set()
+    for signs in positions:
+        pages.add(packed.pack(*sorted(weigh(signs))))
+        if tick is not None:
+            tick()
+    gen = _Made(lambda value: divmod(value, 1 << bits))
+    power = _Made(lambda value: 1 << (value & (1 << bits) - 1))
+
+    def gens(page: bytes) -> Iterator[tuple[int, int]]:
+        return map(gen.__getitem__, packed.unpack(page))
+
+    def tension(page: bytes) -> int:
+        return sum(map(power.__getitem__, packed.unpack(page)))
+
+    return gens, sorted(pages, key=lambda page: (tension(page), page))
+
+
 def unique_e1_pages(
     k: int, p: int, q: int, max_words: int | None = None, tick: Callable | None = None
 ) -> list[FreeModule]:
@@ -149,22 +223,10 @@ def unique_e1_pages(
     exceeding it raises BudgetExceededError rather than churning on a
     space whose downstream search is out of reach anyway.  ``tick``, if
     given, is called after each word and may raise to stop the census.
-    No word list is built: each word is visited as a mask.
+    No word list is built: each word is visited as its sign positions.
     """
-    positions = _sign_positions(p, q)
-    n_words = math.comb(p, q)
-    if max_words is not None and n_words > max_words:
-        raise BudgetExceededError(
-            f"(k={k}, p={p}, q={q}) needs {n_words} sign words, over the "
-            f"budget of {max_words}; raise the word budget to continue"
-        )
-    gens, rows = _cell_rows(enumerate_cells(k, p))
-    seen: set[FreeModule] = set()
-    for signs in positions:
-        seen.add(FreeModule(_bidegrees(gens, rows, k, sum(1 << j for j in signs))))
-        if tick is not None:
-            tick()
-    return sorted(seen, key=lambda m: (m.tension(), m.gens))
+    gens, pages = _census(k, p, q, max_words, tick)
+    return [FreeModule(gens(page)) for page in pages]
 
 
 def e1_quotient_page(k: int, word: SignWord, m: int) -> FreeModule:
@@ -176,7 +238,8 @@ def e1_quotient_page(k: int, word: SignWord, m: int) -> FreeModule:
     if m < 0:
         raise ValueError("m must be nonnegative")
     cells = [c for c in enumerate_cells(k, word.p) if c and c[-1] > m]
-    return FreeModule(_bidegrees(*_cell_rows(cells), k, word.mask))
+    _, bits, weigh = _weigher(cells, k, word.p)
+    return FreeModule(map(divmod, weigh(word.positions), repeat(1 << bits)))
 
 
 def total_weight_formula(k: int, p: int, q: int) -> int:

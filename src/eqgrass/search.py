@@ -4,7 +4,8 @@ Given the first page of one construction, the spectral sequence can only
 converge to modules reachable by shift moves, and every other construction
 of the same space must reach the true answer as well.  The solver:
 
-  a. builds the deduplicated first pages over all sign words,
+  a. builds the deduplicated first pages over all sign words, each kept
+     as its cells' weights and decoded into a module only for page 0,
   b. enumerates everything the lowest-tension page can converge to,
   c. discards pages that relax to other pages (their constraints are
      implied), and
@@ -36,6 +37,7 @@ runs from the start of ``solve``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from bisect import bisect_right
@@ -47,7 +49,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .modalg import FreeModule, possible_differentials, shift_result
-from .schubert import BudgetExceededError, check_parameters, unique_e1_pages
+from .schubert import BudgetExceededError, _census, _typecode, check_parameters
 
 DEFAULT_MAX_MODULES = 1_000_000
 DEFAULT_MAX_WORDS = 2_000
@@ -234,10 +236,6 @@ def _count_down_set(page0: FreeModule, budget: Budget, began: float) -> int:
     return sum(states.values())
 
 
-def _typecode(size: int) -> str:
-    return next(t for t in "BHIQ" if size < 1 << 8 * struct.calcsize(">" + t))
-
-
 def _tables(cells: list, states: Iterable[int], size: int) -> Iterator[tuple[int, ...]]:
     """The count tables of closure states whose start has ``size`` generators."""
     fields = struct.Struct(f">{len(cells)}{_typecode(size)}")
@@ -291,14 +289,16 @@ def _corner_keys(page0: FreeModule) -> tuple[int, Callable]:
     return key([(rows[0], rows[0] - cols[0])]) << width - 1 if rows else 0, key
 
 
-def _kept_pages(pages: Sequence[FreeModule], budget: Budget, began: float) -> list:
-    """The (index, ``_corner_keys(pages[0])`` key) of each kept page; every
-    page must have page 0's margins, as a census's pages do."""
-    guard, key = _corner_keys(pages[0])
+def _kept_pages(page0: FreeModule, pages: Iterable[Iterable], budget: Budget,
+                began: float) -> list:
+    """The (index, ``_corner_keys(page0)`` key) of each kept page of
+    ``pages``, page 0 first, each given by its generators in any order;
+    every page must have page 0's margins, as a census's pages do."""
+    guard, key = _corner_keys(page0)
     kept = []
-    for i, page in enumerate(pages):
+    for i, gens in enumerate(pages):
         _check_clock(began, budget, "page reduction")
-        page_key = key(page.gens)
+        page_key = key(gens)
         if not any(((t | guard) - page_key) & guard == guard for _, t in kept):
             kept.append((i, page_key))
     return kept
@@ -321,7 +321,10 @@ def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
         raise ValueError("every page must have the first page's degrees and values of e")
     if any(a.tension() > b.tension() for a, b in zip(pages, pages[1:])):
         raise ValueError("pages must be sorted by tension ascending")
-    return [pages[i] for i, _ in _kept_pages(pages, DEFAULT_BUDGET, 0.0)] if pages else []
+    if not pages:
+        return []
+    kept = _kept_pages(pages[0], (page.gens for page in pages), DEFAULT_BUDGET, 0.0)
+    return [pages[i] for i, _ in kept]
 
 
 def subspace_filter(candidates: Iterable[FreeModule], h_sub: FreeModule,
@@ -335,12 +338,16 @@ def subspace_filter(candidates: Iterable[FreeModule], h_sub: FreeModule,
 @dataclass(frozen=True)
 class SolveReport:
     """Full trace of one solver run, built once by ``solve``; byte-stable JSON.
-    The candidates, ``pages[0]``'s closure, are decoded from ``states`` once."""
+    ``census`` is ``schubert._census``'s ``(gens, pages)``, the pages packed
+    in bytes and their decoder, or None if the census did not finish;
+    ``pages`` decodes it on first access.  The candidates, ``pages[0]``'s
+    closure, are decoded from ``states`` once."""
 
     k: int
     p: int
     q: int
-    pages: list[FreeModule] = field(default_factory=list)
+    # The pages follow from (k, p, q), and the decoder is new each run.
+    census: tuple[Callable, list[bytes]] | None = field(default=None, compare=False)
     cells: list[tuple[int, int]] = field(default_factory=list)
     states: list[int] = field(default_factory=list)
     filter_page_indices: list[int] = field(default_factory=list)
@@ -353,8 +360,16 @@ class SolveReport:
         """True when a budget cut the run short; ``failure`` says which."""
         return self.failure is not None
 
+    @cached_property
+    def pages(self) -> list[FreeModule]:
+        if self.census is None:
+            return []
+        gens, pages = self.census
+        return [FreeModule(gens(page)) for page in pages]
+
     def _unpack(self, states: Iterable[int]) -> Iterator[tuple[int, ...]]:
-        return _tables(self.cells, states, len(self.pages[0]) if self.pages else 0)
+        # Every page has one generator per cell.
+        return _tables(self.cells, states, math.comb(self.p, self.k))
 
     @cached_property
     def candidates(self) -> list[FreeModule]:
@@ -402,24 +417,26 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
     if jobs != 1:
         raise ValueError(f"solve runs in one process, got jobs={jobs}")
     began = time.monotonic()
-    pages: list[FreeModule] = []
+    census = None
     try:
         tick = partial(_check_clock, began, budget, "sign-word census")
-        pages = unique_e1_pages(k, p, q, budget.max_words, tick)
-        cells, states, (top, count), stories = _closure(pages[0], budget, began)
+        census = gens, pages = _census(k, p, q, budget.max_words, tick)
+        page0 = FreeModule(gens(pages[0]))
+        cells, states, (top, count), stories = _closure(page0, budget, began)
         # Pages that can shift to any other page are redundant: the
         # target page filters at least as hard.  Page 0, the closure's
         # start, filters nothing (every candidate is reachable from it)
         # so it is never used.  Filters run from the highest-tension page
         # down; the order changes only how removals split across the
-        # log, never the survivor set.
-        filters = [i for i, _ in _kept_pages(pages, budget, began)[:0:-1]]
+        # log, never the survivor set.  Only page 0 is a module: the
+        # others are keyed from their packed generators.
+        filters = [i for i, _ in _kept_pages(page0, map(gens, pages), budget, began)[:0:-1]]
         # Candidate B passes page P when B_x >= P_x at every corner x, so
         # when its story covers P's own counts on C.  Off C, B_x = page0_x
         # >= P_x: if P_x > page0_x at x = (i, t), then by P's degrees and
         # values of e page 0 has generators at (a <= i, e1 > t) and
         # (c > i, e2 <= t), a move of page 0 that changes x.
-        needs = [(i, count(pages[i].gens)) for i in filters]
+        needs = [(i, count(gens(pages[i]))) for i in filters]
         removed: dict[int, list[int]] = {i: [] for i in filters}
         alive = []
         for c, story in enumerate(stories):
@@ -432,6 +449,6 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
             else:
                 alive.append(c)
     except BudgetExceededError as exc:
-        return SolveReport(k, p, q, pages, failure=str(exc))
+        return SolveReport(k, p, q, census, failure=str(exc))
     log = [(i, removed[i]) for i in filters if removed[i]]
-    return SolveReport(k, p, q, pages, cells, states, filters, log, alive)
+    return SolveReport(k, p, q, census, cells, states, filters, log, alive)

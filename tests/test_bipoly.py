@@ -1,4 +1,5 @@
 import operator
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,17 @@ def test_parse_rejects_garbage():
     for bad in ["", "x +", "z", "2x3y", "x^", "--", "2*3", "x^1 2", "1 + 2 3x"]:
         with pytest.raises(PolynomialParseError):
             parse_bipoly(bad)
+
+
+@pytest.mark.parametrize(
+    "text, term",
+    [("x^-1", "x^-1"), ("x^+2", "x^+2"), ("1 + 2x^-3y", "+2x^-3y"), ("y^-1 - x", "y^-1")],
+)
+def test_parse_names_a_signed_exponent_whole(text, term):
+    # A sign right after '^' does not start a term, so the error names
+    # the term as typed, not the fragment before the sign.
+    with pytest.raises(PolynomialParseError, match=f"^unparseable term {re.escape(repr(term))}$"):
+        parse_bipoly(text)
 
 
 @given(bipolys)

@@ -283,6 +283,20 @@ def test_validate_malformed_module_json_exit_2(module, capsys):
     assert capsys.readouterr().err.startswith("error: bad module: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["story", "--a", "x^-1", "--b", "1"], "bad polynomial for --a: unparseable term 'x^-1'"),
+        (["story", "--a", "1", "--b", "x^+2"], "bad polynomial for --b: unparseable term 'x^+2'"),
+        (["validate", "--k", "1", "--p", "2", "--q", "1", "--module", "x^-1"],
+         "bad module: unparseable term 'x^-1'"),
+    ],
+)
+def test_signed_exponent_is_named_whole_exit_2(argv, message, capsys):
+    assert invoke(argv) == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_validate_empty_module_text_exit_2(capsys):
     # Path("") is the current directory; empty text must not read it.
     code, text = invoke(

@@ -67,9 +67,29 @@ def test_census_matches_slow_oracle(data):
     assert e1_quotient_page(k, word, m) == FreeModule(kept)
 
 
-@pytest.mark.parametrize("space", [(2, 6, 3), (3, 7, 2), (2, 11, 5)])
+# (2, 13, 6) has 147 groups of pages tied in tension, which the sorted
+# generators order; at k = 0 and k = p the one cell has dimension 0; a
+# cell of Gr_1(R^257) reaches dimension 256, past a byte field.
+@pytest.mark.parametrize(
+    "space", [(2, 6, 3), (3, 7, 2), (2, 11, 5), (2, 13, 6), (0, 5, 2), (5, 5, 2), (1, 257, 1)]
+)
 def test_unique_pages_match_slow_oracle(space):
     assert unique_e1_pages(*space) == slow_unique_pages(*space)
+
+
+@pytest.mark.parametrize(
+    "k, text",
+    [(0, "+-+"), (3, "+-+"), (4, "--++"), (1, "+" * 299 + "-"), (1, "-+" * 150)],
+    ids=["k=0", "k=p", "k=p, q=2", "p=300, last letter sign", "p=300, alternating"],
+)
+def test_pages_match_slow_oracle_at_the_edges(k, text):
+    # On the 300-letter words cells reach dimension 299 and weight 299,
+    # past a byte field.
+    word = W(text)
+    cells = enumerate_cells(k, word.p)
+    slow = [slow_cell_bidegree(c, word) for c in cells]
+    assert [cell_bidegree(c, word) for c in cells] == slow
+    assert e1_page(k, word) == FreeModule(slow)
 
 
 def test_sign_word_parsing():

@@ -686,6 +686,34 @@ def test_tables_above_the_bound_are_the_survivors(space):
     assert sorted(_tables_above(report.pages[0], bound)) == report.survivors
 
 
+@pytest.mark.parametrize("space", CRITERION_8_SPACES + [(2, 11, 5), (2, 13, 6)])
+def test_report_pages_are_the_census(space):
+    assert solve(*space).pages == unique_e1_pages(*space)
+
+
+def test_survivors_decode_no_census_page_past_page0_and_the_kept(monkeypatch):
+    # solve keys the census pages in their compact form; reading only the
+    # survivors must leave the 1,653 pages of (2,13,6) that are not kept
+    # undecoded.
+    pages = unique_e1_pages(2, 13, 6)
+    allowed = {pages[0], *reduce_pages(pages)}
+    built = []
+    init = FreeModule.__init__
+
+    def recording(self, gens=()):
+        init(self, gens)
+        built.append(self)
+
+    monkeypatch.setattr(FreeModule, "__init__", recording)
+    report = solve(2, 13, 6)
+    survivors = report.survivors
+    monkeypatch.undo()
+    decoded = set(pages) & set(built)
+    assert len(survivors) == 1 and pages[0] in decoded
+    assert decoded <= allowed
+    assert report.pages == pages
+
+
 def _un_moves(module):
     """Every module that one move would take to module: generators at
     (a, e2) and (c, e1), e = a - b, with a < c and e2 < e1 <= a, go back
@@ -767,8 +795,8 @@ def test_solve_validates_parameters():
 
 
 def test_solve_is_deterministic():
-    a = solve(3, 6, 3).to_json_bytes()
-    b = solve(3, 6, 3).to_json_bytes()
+    a, b = solve(3, 6, 3), solve(3, 6, 3)
+    assert a.to_json_bytes() == b.to_json_bytes()
     assert a == b
 
 
