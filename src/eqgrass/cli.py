@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bipoly import PolynomialParseError, parse_bipoly
-from .modalg import FreeModule, module_poly, poincare_from_json, render_rank_table
+from .modalg import FreeModule, module_poly, poincare_from_json, poly_story, render_rank_table
 from .oracle import validate_poincare
 from .schubert import (
     SignWord,
@@ -267,16 +267,8 @@ def _cmd_solve(args, out) -> int:
 
 
 def _cmd_story(args, out) -> int:
-    fa = _parse_poly(args.a, "--a")
-    fb = _parse_poly(args.b, "--b")
-    # K_{1,1} = (1 - xy)(y - 1), two coprime irreducibles, so the
-    # difference is a multiple exactly when both substitutions vanish.
-    diff = fb - fa
-    story = None if diff.underlying() or diff.fixed_points() else diff.divide_by_k11()
-    if story is None:
-        out.write("not related by shifts\n")
-    else:
-        out.write(str(story) + "\n")
+    story = poly_story(_parse_poly(args.a, "--a"), _parse_poly(args.b, "--b"))
+    out.write("not related by shifts\n" if story is None else f"{story}\n")
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ invariant.  B can be reached from A by shifts exactly when the shift
 story (P_B - P_A) / K_{1,1} exists and is nonnegative.  Writing
 e = a - b, the story's coefficient at x^i y^j is #B - #A over the corner
 {a <= i, e < i - j}, so ``FreeModule.can_relax_to`` decides relaxation by
-counting generators in corners, with no polynomial arithmetic; the
-division in ``shift_story`` is its independent oracle in the tests.
+counting generators in corners, with no polynomial arithmetic.  The
+story itself is ``poly_story``, which ``FreeModule.shift_story`` (the
+tests' oracle for relaxation) and the ``story`` command both call.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class FreeModule:
         story with a negative coefficient means some shifts would have to
         run backwards.
         """
-        return (other.poincare() - self.poincare()).divide_by_k11()
+        return poly_story(self.poincare(), other.poincare())
 
     def can_relax_to(self, other: "FreeModule") -> bool:
         """True iff other is reachable from self by (possibly zero) shifts.
@@ -236,6 +237,14 @@ def poincare_from_json(data: dict) -> BiPoly:
             raise ValueError(f"bidegree ({a}, {b}) has a negative entry")
         counts[a, b] += k
     return BiPoly(+counts)  # + drops zero counts, whose a or b may be negative
+
+
+def poly_story(start: BiPoly, end: BiPoly) -> BiPoly | None:
+    """(end - start) / K_{1,1}, or None if that is no polynomial: K_{1,1} =
+    (1 - xy)(y - 1), two coprime irreducibles, divides the difference exactly
+    when y = 1 and y = 1/x both send it to 0, and only then is it divided."""
+    diff = end - start
+    return None if diff.underlying() or diff.fixed_points() else diff.divide_by_k11()
 
 
 def module_poly(f: BiPoly) -> BiPoly:

@@ -213,19 +213,16 @@ def _census(k: int, p: int, q: int, max_words: int | None = None,
     return gens, sorted(pages, key=lambda page: (tension(page), page))
 
 
-def unique_e1_pages(
-    k: int, p: int, q: int, max_words: int | None = None, tick: Callable | None = None
-) -> list[FreeModule]:
+def unique_e1_pages(k: int, p: int, q: int, max_words: int | None = None) -> list[FreeModule]:
     """Deduplicated first pages over all sign words, sorted by tension
     ascending (ties broken by canonical module order).
 
     ``max_words`` caps how many of the C(p, q) sign words get examined;
     exceeding it raises BudgetExceededError rather than churning on a
-    space whose downstream search is out of reach anyway.  ``tick``, if
-    given, is called after each word and may raise to stop the census.
-    No word list is built: each word is visited as its sign positions.
+    space whose downstream search is out of reach anyway.  No word list
+    is built: each word is visited as its sign positions.
     """
-    gens, pages = _census(k, p, q, max_words, tick)
+    gens, pages = _census(k, p, q, max_words)
     return [FreeModule(gens(page)) for page in pages]
 
 

@@ -109,8 +109,9 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     # reads and writes only its own cells' counts and keeps their total, so
     # the closure is exactly the product of the components' closures, and
     # as rises add along a path a story is the start's count plus its
-    # parts' rises.  A move from (a, e1) to (c, e2), e = a - b, adds one to
-    # each corner count {a <= i, e <= t} with a <= i < c and e2 <= t < e1.
+    # parts' rises.  A move from (a, e1) to (c, e2), e = a - b, leaves
+    # (a, e2) and (c, e1), so its rise, those two cells' units less its
+    # ends', is one on each corner with a <= i < c and e2 <= t < e1.
     if budget.max_modules is not None:
         _check_cap(_count_down_set(module, budget, began), budget)
     cells = set(module.gens)
@@ -126,10 +127,10 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
     mask = (1 << width) - 1
     shift = dict(zip(cells, range(width * (len(cells) - 1), -1, -width)))
     rows, cols = (sorted(set(margin)) for margin in _margins(module))
-    rects = [[(i, t) for i in rows if src[0] <= i < tgt[0] for t in cols
-              if tgt[0] - tgt[1] <= t < src[0] - src[1]] for src, tgt, _, _ in moves]
+    on_c = {(i, t) for (a, b), (c, d), _, _ in moves for i in rows if a <= i < c
+            for t in cols if c - d <= t < a - b}
     bits = len(module).bit_length() + 1
-    bit = {x: 1 << bits * j for j, x in enumerate(sorted(set(chain.from_iterable(rects))))}
+    bit = {x: 1 << bits * j for j, x in enumerate(sorted(on_c))}
 
     @cache
     def unit(a: int, b: int) -> int:  # a generator's count in each corner of C
@@ -147,10 +148,11 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
         for cell in ends:
             root[find(shift[cell])] = r
     walks: dict[int, dict[int, list]] = {}  # by component root, then source shift
-    for (src, tgt, x, y), rect in zip(moves, rects):
+    for src, tgt, x, y in moves:
         i, j = shift[src], shift[tgt]
         step = (1 << shift[x]) + (1 << shift[y]) - (1 << i) - (1 << j)
-        walks.setdefault(find(i), {}).setdefault(i, []).append((j, step, sum(map(bit.get, rect))))
+        rise = unit(*x) + unit(*y) - unit(*src) - unit(*tgt)
+        walks.setdefault(find(i), {}).setdefault(i, []).append((j, step, rise))
     shares = dict.fromkeys(root, 0)  # of the start, by component root
     for gen in module.gens:
         shares[find(shift[gen])] += 1 << shift[gen]
@@ -290,18 +292,18 @@ def _corner_keys(page0: FreeModule) -> tuple[int, Callable]:
 
 
 def _kept_pages(page0: FreeModule, pages: Iterable[Iterable], budget: Budget,
-                began: float) -> list:
-    """The (index, ``_corner_keys(page0)`` key) of each kept page of
-    ``pages``, page 0 first, each given by its generators in any order;
-    every page must have page 0's margins, as a census's pages do."""
+                began: float) -> list[int]:
+    """The index of each kept page of ``pages``, page 0 first, each given
+    by its generators in any order; every page must have page 0's
+    margins, as a census's pages do."""
     guard, key = _corner_keys(page0)
-    kept = []
+    kept = {}  # index: key
     for i, gens in enumerate(pages):
         _check_clock(began, budget, "page reduction")
         page_key = key(gens)
-        if not any(((t | guard) - page_key) & guard == guard for _, t in kept):
-            kept.append((i, page_key))
-    return kept
+        if not any(((t | guard) - page_key) & guard == guard for t in kept.values()):
+            kept[i] = page_key
+    return list(kept)
 
 
 def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
@@ -324,7 +326,7 @@ def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
     if not pages:
         return []
     kept = _kept_pages(pages[0], (page.gens for page in pages), DEFAULT_BUDGET, 0.0)
-    return [pages[i] for i, _ in kept]
+    return [pages[i] for i in kept]
 
 
 def subspace_filter(candidates: Iterable[FreeModule], h_sub: FreeModule,
@@ -430,7 +432,7 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
         # down; the order changes only how removals split across the
         # log, never the survivor set.  Only page 0 is a module: the
         # others are keyed from their packed generators.
-        filters = [i for i, _ in _kept_pages(page0, map(gens, pages), budget, began)[:0:-1]]
+        filters = _kept_pages(page0, map(gens, pages), budget, began)[:0:-1]
         # Candidate B passes page P when B_x >= P_x at every corner x, so
         # when its story covers P's own counts on C.  Off C, B_x = page0_x
         # >= P_x: if P_x > page0_x at x = (i, t), then by P's degrees and

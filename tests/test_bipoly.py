@@ -113,6 +113,20 @@ def test_fixed_points_laurent():
         f.fixed_points().evaluate(2)
 
 
+def test_unipoly_coefficient_and_evaluate():
+    f = parse_bipoly("3x^2y + x^2 + 1").underlying()
+    assert (f.coefficient(2), f.coefficient(1), f.coefficient(0)) == (4, 0, 1)
+    assert f.evaluate(2) == 17
+    assert UniPoly().evaluate(5) == 0
+
+
+@pytest.mark.parametrize("poly", [X, UniPoly({1: 1})], ids=["BiPoly", "UniPoly"])
+def test_polynomials_are_immutable(poly):
+    with pytest.raises(AttributeError, match="is immutable"):
+        poly._terms = {}
+    assert str(poly) == "x"
+
+
 def test_divide_examples():
     assert (X * kronholm_poly(3, 1)).divide_by_k11() == X * parse_bipoly("1 + xy + x^2y^2")
     assert (Y - ONE).divide_by_k11() is None

@@ -273,6 +273,7 @@ def test_validate_checks_counts_without_building_generators(module):
         '{"generators": 5}',
         '{"generators": [[0, 0, 1.5]]}',
         '{"generators": [[0, 0, 1], [1, 1, 2], [1, 1, -1]]}',
+        '{"generators": [[0, 0, 1], [2, -1, 1]]}',
     ],
 )
 def test_validate_malformed_module_json_exit_2(module, capsys):
@@ -295,6 +296,15 @@ def test_validate_malformed_module_json_exit_2(module, capsys):
 def test_signed_exponent_is_named_whole_exit_2(argv, message, capsys):
     assert invoke(argv) == (EXIT_USAGE, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("module", ['{"generators": [[0, 0, 1], [1, 0, 1], [2, 2, 1]]}',
+                                    "1 + x", "x^-1"])
+def test_validate_module_dash_reads_stdin(module, monkeypatch, capsys):
+    argv = ["validate", "--k", "1", "--p", "3", "--q", "1", "--module"]
+    direct = invoke(argv + [module]), capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.StringIO(module + "\n"))
+    assert (invoke(argv + ["-"]), capsys.readouterr().err) == direct
 
 
 def test_validate_empty_module_text_exit_2(capsys):

@@ -1,3 +1,4 @@
+import re
 from functools import cache
 from typing import NamedTuple
 
@@ -63,6 +64,25 @@ def test_shift_story_examples():
     assert RP2_E1.shift_story(RP2_H) == parse_bipoly("x")
     assert GR242_E1.shift_story(GR242_H) == parse_bipoly("x^2y + x^3y + x^3y^2")
     assert RP2_E1.shift_story(RP2_E1) == BiPoly()
+
+
+@pytest.mark.parametrize(
+    "start, end", [((0, 0), (400, 400)), ((400, 400), (400, 800))], ids=["y=1", "y=1/x"]
+)
+def test_shift_story_rejects_a_non_multiple_before_dividing(start, end, monkeypatch):
+    # Long division took 1.4 and 5.4 s to reject these.  The difference
+    # fails one substitution, so no division is needed.
+    def refuse(self):
+        raise AssertionError("divided a polynomial that is no multiple of K_{1,1}")
+
+    monkeypatch.setattr(BiPoly, "divide_by_k11", refuse)
+    assert FreeModule([start]).shift_story(FreeModule([end])) is None
+
+
+def test_modules_are_immutable():
+    with pytest.raises(AttributeError, match="immutable"):
+        RP2_E1._gens = ()
+    assert RP2_E1.gens == ((0, 0), (1, 0), (2, 2))
 
 
 def test_can_relax_to():
@@ -290,6 +310,21 @@ def test_json_roundtrip():
 )
 def test_from_json_rejects_malformed_generators(generators):
     with pytest.raises(ValueError, match="generator"):
+        FreeModule.from_json({"generators": generators})
+
+
+@pytest.mark.parametrize(
+    "generators, pair",
+    [
+        ([[-1, 0, 1]], (-1, 0)),
+        ([[0, 0, 1], [2, -3, 2]], (2, -3)),
+        ([[0, -1, 0], [1, -1, 1]], (1, -1)),
+    ],
+    ids=repr,
+)
+def test_from_json_rejects_a_negative_bidegree_with_a_count(generators, pair):
+    # The bidegree of a zero count is never checked.
+    with pytest.raises(ValueError, match=re.escape(f"bidegree {pair} has a negative entry")):
         FreeModule.from_json({"generators": generators})
 
 

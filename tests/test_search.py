@@ -487,6 +487,10 @@ def test_reduce_pages_singleton():
     assert reduce_pages([RP2_E1]) == [RP2_E1]
 
 
+def test_reduce_pages_empty():
+    assert reduce_pages([]) == []
+
+
 def test_reduce_pages_published_count():
     pages = unique_e1_pages(3, 6, 3)
     assert len(reduce_pages(pages[1:])) == 2
