@@ -132,7 +132,7 @@ def _add_budget(parser):
         type=_nonnegative(float),
         default=None,
         help="wall-clock cap from the start of the census through the count, the "
-        "closure, the page reduction and the filter",
+        "closure, the filter and, for --format json, the page reduction",
     )
 
 

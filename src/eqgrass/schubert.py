@@ -31,7 +31,7 @@ import struct
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .modalg import FreeModule
 
@@ -179,10 +179,10 @@ class _Made(dict):
 
 
 def _census(k: int, p: int, q: int, max_words: int | None = None,
-            tick: Callable | None = None) -> tuple[Callable, list[bytes]]:
-    """``(gens, pages)``: the distinct first pages over all sign words in
-    ``unique_e1_pages``' order, each packed in bytes, and ``gens(page)``,
-    which gives a page's generators in canonical order."""
+            tick: Callable | None = None) -> tuple[dict, Callable, list[bytes]]:
+    """``(gen, values, pages)``: the distinct first pages over all sign words
+    in ``unique_e1_pages``' order, packed in bytes; ``values(page)`` gives a
+    page's packed generators in canonical order, and ``gen[value]`` one's bidegree."""
     positions = _sign_positions(p, q)
     n_words = math.comb(p, q)
     if max_words is not None and n_words > max_words:
@@ -204,13 +204,10 @@ def _census(k: int, p: int, q: int, max_words: int | None = None,
     gen = _Made(lambda value: divmod(value, 1 << bits))
     power = _Made(lambda value: 1 << (value & (1 << bits) - 1))
 
-    def gens(page: bytes) -> Iterator[tuple[int, int]]:
-        return map(gen.__getitem__, packed.unpack(page))
-
     def tension(page: bytes) -> int:
         return sum(map(power.__getitem__, packed.unpack(page)))
 
-    return gens, sorted(pages, key=lambda page: (tension(page), page))
+    return gen, packed.unpack, sorted(pages, key=lambda page: (tension(page), page))
 
 
 def unique_e1_pages(k: int, p: int, q: int, max_words: int | None = None) -> list[FreeModule]:
@@ -222,8 +219,8 @@ def unique_e1_pages(k: int, p: int, q: int, max_words: int | None = None) -> lis
     space whose downstream search is out of reach anyway.  No word list
     is built: each word is visited as its sign positions.
     """
-    gens, pages = _census(k, p, q, max_words)
-    return [FreeModule(gens(page)) for page in pages]
+    gen, values, pages = _census(k, p, q, max_words)
+    return [FreeModule(map(gen.__getitem__, values(page))) for page in pages]
 
 
 def e1_quotient_page(k: int, word: SignWord, m: int) -> FreeModule:

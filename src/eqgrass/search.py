@@ -7,18 +7,20 @@ of the same space must reach the true answer as well.  The solver:
   a. builds the deduplicated first pages over all sign words, each kept
      as its cells' weights and decoded into a module only for page 0,
   b. enumerates everything the lowest-tension page can converge to,
-  c. discards pages that relax to other pages (their constraints are
-     implied), and
+  c. takes the need, the fieldwise maximum of every page's counts on the
+     corners C that the closure's moves change, and
   d. strikes every candidate whose shift story, carried from the start
-     through the closure, falls short of some remaining page's need.
+     through the closure, falls short of the need.
 
-Each rule is written once.  ``modalg.is_legal_shift`` is the move rule,
-``modalg.possible_differentials`` lists the (src, tgt) moves it admits,
-``modalg.shift_result`` is the result of a move and ``reduce_pages`` is
-step c.  Steps c and d test relaxation as one integer comparison of
-packed corner counts: step c on page 0's whole grid (``_corner_keys``),
-step d on the corners the closure's moves change, where a candidate's
-story is its own counts; ``FreeModule.can_relax_to`` checks both in the
+The report's log, which only the JSON reads, is built on first access:
+``reduce_pages``' rule drops the pages that relax to other pages, on
+corner keys over page 0's whole grid (``_corner_keys``), and each struck
+candidate is filed under the first kept page it fails.  Each rule is
+written once.  ``modalg.is_legal_shift`` is the move rule,
+``modalg.possible_differentials`` lists the (src, tgt) moves it admits
+and ``modalg.shift_result`` is the result of a move; relaxation is one
+integer comparison of packed corner counts, which
+``FreeModule.can_relax_to`` checks in the
 tests.  Step b, the closure, replays single shifts
 breadth-first, recomputing the possible differentials at every
 intermediate module, so a summand shifted down by one move may support
@@ -31,7 +33,7 @@ components' closures, and each component is walked alone.
 ``oracle.closure_oracle``, one search over whole modules, is its slow
 reference.  The module cap is checked on a count, made before the
 search, of page 0's down-set, which holds the closure.  The time budget
-runs from the start of ``solve``.
+runs from the start of ``solve`` and covers the log too.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .modalg import FreeModule, possible_differentials, shift_result
-from .schubert import BudgetExceededError, _census, _typecode, check_parameters
+from .schubert import BudgetExceededError, _census, _Made, _typecode, check_parameters
 
 DEFAULT_MAX_MODULES = 1_000_000
 DEFAULT_MAX_WORDS = 2_000
@@ -291,16 +293,14 @@ def _corner_keys(page0: FreeModule) -> tuple[int, Callable]:
     return key([(rows[0], rows[0] - cols[0])]) << width - 1 if rows else 0, key
 
 
-def _kept_pages(page0: FreeModule, pages: Iterable[Iterable], budget: Budget,
-                began: float) -> list[int]:
-    """The index of each kept page of ``pages``, page 0 first, each given
-    by its generators in any order; every page must have page 0's
-    margins, as a census's pages do."""
-    guard, key = _corner_keys(page0)
+def _kept_pages(pages: Sequence[FreeModule], budget: Budget, began: float) -> list[int]:
+    """The index of each kept page of ``pages``, page 0 first; every page
+    must have page 0's margins, as a census's pages do."""
+    guard, key = _corner_keys(pages[0])
     kept = {}  # index: key
-    for i, gens in enumerate(pages):
+    for i, page in enumerate(pages):
         _check_clock(began, budget, "page reduction")
-        page_key = key(gens)
+        page_key = key(page.gens)
         if not any(((t | guard) - page_key) & guard == guard for t in kept.values()):
             kept[i] = page_key
     return list(kept)
@@ -323,10 +323,7 @@ def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
         raise ValueError("every page must have the first page's degrees and values of e")
     if any(a.tension() > b.tension() for a, b in zip(pages, pages[1:])):
         raise ValueError("pages must be sorted by tension ascending")
-    if not pages:
-        return []
-    kept = _kept_pages(pages[0], (page.gens for page in pages), DEFAULT_BUDGET, 0.0)
-    return [pages[i] for i in kept]
+    return [pages[i] for i in _kept_pages(pages, DEFAULT_BUDGET, 0.0)] if pages else []
 
 
 def subspace_filter(candidates: Iterable[FreeModule], h_sub: FreeModule,
@@ -340,22 +337,24 @@ def subspace_filter(candidates: Iterable[FreeModule], h_sub: FreeModule,
 @dataclass(frozen=True)
 class SolveReport:
     """Full trace of one solver run, built once by ``solve``; byte-stable JSON.
-    ``census`` is ``schubert._census``'s ``(gens, pages)``, the pages packed
-    in bytes and their decoder, or None if the census did not finish;
-    ``pages`` decodes it on first access.  The candidates, ``pages[0]``'s
-    closure, are decoded from ``states`` once."""
+    ``census`` is ``schubert._census``'s ``(gen, values, pages)``, or None if
+    the census did not finish; ``pages`` decodes it on first access.  The
+    candidates, ``pages[0]``'s closure, are decoded from ``states`` once.
+    The log, ``filter_page_indices`` and ``filter_log``, is found once on
+    first access under the run's deadline, so reading it, or ``to_json``,
+    can raise ``BudgetExceededError``."""
 
     k: int
     p: int
     q: int
     # The pages follow from (k, p, q), and the decoder is new each run.
-    census: tuple[Callable, list[bytes]] | None = field(default=None, compare=False)
+    census: tuple[dict, Callable, list[bytes]] | None = field(default=None, compare=False)
     cells: list[tuple[int, int]] = field(default_factory=list)
     states: list[int] = field(default_factory=list)
-    filter_page_indices: list[int] = field(default_factory=list)
-    filter_log: list[tuple[int, list[int]]] = field(default_factory=list)
     survivor_indices: list[int] = field(default_factory=list)
     failure: str | None = None
+    # The log's inputs: the closure's guard, count on C and stories, budget and start.
+    closure: tuple | None = field(default=None, compare=False)
 
     @property
     def incomplete(self) -> bool:
@@ -364,10 +363,31 @@ class SolveReport:
 
     @cached_property
     def pages(self) -> list[FreeModule]:
-        if self.census is None:
-            return []
-        gens, pages = self.census
-        return [FreeModule(gens(page)) for page in pages]
+        gen, values, pages = self.census or ({}, None, [])
+        return [FreeModule(map(gen.__getitem__, values(page))) for page in pages]
+
+    @cached_property
+    def _log(self) -> tuple[list[int], list[tuple[int, list[int]]]]:
+        # A page that can shift to another filters no harder than it, and
+        # page 0, the closure's start, filters nothing.  Filters run from the
+        # highest tension down, which orders the log, not the survivors.
+        if self.closure is None:
+            return [], []
+        top, count, stories, budget, began = self.closure
+        filters = _kept_pages(self.pages, budget, began)[:0:-1]
+        alive, log = range(len(stories)), []
+        for i in filters:  # each candidate is filed under the first page it fails
+            _check_clock(began, budget, "candidate filter")
+            need = count(self.pages[i].gens)
+            if fails := {c for c in alive if ((stories[c] | top) - need) & top != top}:
+                log.append((i, sorted(fails)))
+                alive = [c for c in alive if c not in fails]
+        return filters, log
+
+    # The kept pages but page 0, highest tension first, and each one that
+    # removes candidates, with those it removes.
+    filter_page_indices = property(lambda self: self._log[0])
+    filter_log = property(lambda self: self._log[1])
 
     def _unpack(self, states: Iterable[int]) -> Iterator[tuple[int, ...]]:
         # Every page has one generator per cell.
@@ -413,7 +433,8 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
     and ``jobs`` may only be 1.  Budget exhaustion produces a partial
     report whose ``failure`` names the cap instead of an exception;
     ``max_seconds`` runs from the call and covers the sign-word census,
-    the count, the closure, the page reduction and the filter.
+    the count, the closure and the filter.  The page reduction and the
+    per-page filter of the report's log run on its first access.
     """
     check_parameters(k, p, q)
     if jobs != 1:
@@ -422,35 +443,27 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
     census = None
     try:
         tick = partial(_check_clock, began, budget, "sign-word census")
-        census = gens, pages = _census(k, p, q, budget.max_words, tick)
-        page0 = FreeModule(gens(pages[0]))
+        census = gen, values, pages = _census(k, p, q, budget.max_words, tick)
+        page0 = FreeModule(map(gen.__getitem__, values(pages[0])))
         cells, states, (top, count), stories = _closure(page0, budget, began)
-        # Pages that can shift to any other page are redundant: the
-        # target page filters at least as hard.  Page 0, the closure's
-        # start, filters nothing (every candidate is reachable from it)
-        # so it is never used.  Filters run from the highest-tension page
-        # down; the order changes only how removals split across the
-        # log, never the survivor set.  Only page 0 is a module: the
-        # others are keyed from their packed generators.
-        filters = _kept_pages(page0, map(gens, pages), budget, began)[:0:-1]
         # Candidate B passes page P when B_x >= P_x at every corner x, so
         # when its story covers P's own counts on C.  Off C, B_x = page0_x
         # >= P_x: if P_x > page0_x at x = (i, t), then by P's degrees and
         # values of e page 0 has generators at (a <= i, e1 > t) and
-        # (c > i, e2 <= t), a move of page 0 that changes x.
-        needs = [(i, count(gens(pages[i]))) for i in filters]
-        removed: dict[int, list[int]] = {i: [] for i in filters}
-        alive = []
-        for c, story in enumerate(stories):
+        # (c > i, e2 <= t), a move of page 0 that changes x.  So B passes
+        # every page when its story covers the need, the fieldwise maximum
+        # of the pages' counts, each summed from its packed values' units.
+        unit = _Made(lambda value: count([gen[value]]))
+        low = len(page0).bit_length()  # field 0's guard bit, as _closure packs
+        need = 0
+        for page in pages:
             _check_clock(began, budget, "candidate filter")
-            story |= top
-            for i, need in needs:  # filed under the first page it fails
-                if (story - need) & top != top:
-                    removed[i].append(c)
-                    break
-            else:
-                alive.append(c)
+            c = sum(map(unit.__getitem__, values(page)))
+            ge = ((need | top) - c) & top  # the guard of each field where need >= c
+            m = ge - (ge >> low)  # those fields' value bits
+            need = (need & m) | (c & ~m)
+        alive = [c for c, story in enumerate(stories) if ((story | top) - need) & top == top]
     except BudgetExceededError as exc:
         return SolveReport(k, p, q, census, failure=str(exc))
-    log = [(i, removed[i]) for i in filters if removed[i]]
-    return SolveReport(k, p, q, census, cells, states, filters, log, alive)
+    return SolveReport(k, p, q, census, cells, states, alive, None,
+                       (top, count, stories, budget, began))

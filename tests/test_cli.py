@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from eqgrass import search
+from eqgrass.bipoly import parse_bipoly
 from eqgrass.cli import EXIT_AMBIGUOUS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, run
+from eqgrass.known import KNOWN_TABLES, six_candidates
 from eqgrass.search import solve
 
 DATA = Path(__file__).parent / "data"
@@ -388,6 +391,29 @@ def test_solve_deterministic_bytes(space):
     code, text = invoke(["solve", "--k", k, "--p", p, "--q", q, "--format", "json"])
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (code, digest) == SOLVE_JSON_STDOUT_SHA256[space]
+
+
+def test_answers_build_no_corner_keys(monkeypatch):
+    # The survivors come from one need summed off the census's packed
+    # pages; only the log, which the JSON reads, reduces pages on keys.
+    def refuse(page0):
+        raise AssertionError("corner keys built for an answer")
+
+    monkeypatch.setattr(search, "_corner_keys", refuse)
+    for (k, p, q), table in KNOWN_TABLES.items():
+        argv = ["solve", "--k", str(k), "--p", str(p), "--q", str(q), "--format"]
+        assert invoke(argv + ["table"]) == (EXIT_OK, (DATA / f"gr{k}_{p}_{q}.txt").read_text())
+        assert invoke(argv + ["poly"]) == (EXIT_OK, f"{table.poincare()}\n")
+        assert solve(k, p, q).survivors == [table]
+    code, text = invoke(["solve", "--k", "3", "--p", "6", "--q", "3", "--format", "poly"])
+    polys = [parse_bipoly(line) for line in text.splitlines() if not line.startswith("#")]
+    assert code == EXIT_AMBIGUOUS and len(polys) == 6 and set(polys) == set(six_candidates())
+    for (space, fmt), digest in CANDIDATES_STDOUT_SHA256.items():
+        k, p, q = map(str, space)
+        code, text = invoke(["candidates", "--k", k, "--p", p, "--q", q, "--format", fmt])
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (EXIT_OK, digest)
+    with pytest.raises(AssertionError, match="corner keys"):
+        solve(3, 6, 3).to_json()
 
 
 def test_solve_ambiguous_exit_1():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from eqgrass.bipoly import BiPoly, parse_bipoly
 from eqgrass.modalg import FreeModule, shift_result
 from eqgrass.oracle import closure_oracle
-from eqgrass import search
+from eqgrass import cli, search
 from eqgrass.schubert import SignWord, e1_page, sign_words, unique_e1_pages
 from eqgrass.cli import EXIT_BUDGET, run
 from eqgrass.search import (
@@ -695,12 +695,11 @@ def test_report_pages_are_the_census(space):
     assert solve(*space).pages == unique_e1_pages(*space)
 
 
-def test_survivors_decode_no_census_page_past_page0_and_the_kept(monkeypatch):
-    # solve keys the census pages in their compact form; reading only the
-    # survivors must leave the 1,653 pages of (2,13,6) that are not kept
+def test_survivors_decode_no_census_page_past_page0(monkeypatch):
+    # solve sums each census page's need from its packed values; reading
+    # only the survivors must leave the 1,715 pages of (2,13,6) past page 0
     # undecoded.
     pages = unique_e1_pages(2, 13, 6)
-    allowed = {pages[0], *reduce_pages(pages)}
     built = []
     init = FreeModule.__init__
 
@@ -712,10 +711,33 @@ def test_survivors_decode_no_census_page_past_page0_and_the_kept(monkeypatch):
     report = solve(2, 13, 6)
     survivors = report.survivors
     monkeypatch.undo()
-    decoded = set(pages) & set(built)
-    assert len(survivors) == 1 and pages[0] in decoded
-    assert decoded <= allowed
+    assert len(survivors) == 1 and survivors[0] not in pages
+    assert set(pages) & set(built) == {pages[0]}
     assert report.pages == pages
+
+
+@pytest.mark.parametrize(
+    "space", CRITERION_8_SPACES + [(3, 7, 2), (4, 8, 2), (2, 11, 5), (2, 13, 6)]
+)
+def test_one_need_survivors_are_what_the_page_filter_leaves(space):
+    # The per-page filter of the log is the one need's oracle.
+    report = solve(*space)
+    struck = {c for _, removed in report.filter_log for c in removed}
+    assert report.survivor_indices == [c for c in range(len(report.states)) if c not in struck]
+
+
+def test_report_builds_the_log_once_on_access(monkeypatch):
+    calls = []
+    kept_pages = search._kept_pages
+    monkeypatch.setattr(search, "_kept_pages", lambda *args: calls.append(1) or kept_pages(*args))
+    report = solve(3, 6, 3)
+    assert report.survivors and report.candidates and not calls
+    assert report.filter_page_indices == [3, 1] and calls == [1]
+    assert [len(removed) for _, removed in report.filter_log] == [11, 7]
+    report.to_json()
+    assert calls == [1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.filter_log = []
 
 
 def _un_moves(module):
@@ -804,7 +826,7 @@ def test_solve_is_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("space", [(3, 6, 3), (2, 8, 4), (3, 7, 2), (4, 8, 2)])
+@pytest.mark.parametrize("space", [(3, 6, 3), (2, 8, 4), (3, 7, 2), (4, 8, 2), (2, 11, 5)])
 def test_report_survivors_pass_every_filter_page(space):
     report = solve(*space)
     cands = report.candidates
@@ -913,17 +935,42 @@ def _stop_clock_until(monkeypatch, name):
     monkeypatch.setattr(search, name, then_jump)
 
 
-@pytest.mark.parametrize(
-    "name, phase", [("_closure", "page reduction"), ("_kept_pages", "candidate filter")]
-)
-def test_time_budget_covers_reduction_and_filter(monkeypatch, name, phase):
-    _stop_clock_until(monkeypatch, name)
+def test_time_budget_covers_the_survivor_filter(monkeypatch):
+    _stop_clock_until(monkeypatch, "_closure")
     report = solve(3, 6, 3, budget=Budget(max_seconds=1.0))
     assert report.incomplete
-    assert report.failure == f"{phase} exceeded 1.0 seconds"
+    assert report.failure == "candidate filter exceeded 1.0 seconds"
     assert report.pages and not report.states
     code = run(["solve", "--k", "3", "--p", "6", "--q", "3", "--max-seconds", "1"])
     assert code == EXIT_BUDGET
+
+
+@pytest.mark.parametrize(
+    "name, phase", [("solve", "page reduction"), ("_kept_pages", "candidate filter")]
+)
+def test_time_budget_covers_the_log(monkeypatch, name, phase):
+    # solve's survivors need no page reduction; the report's log runs it,
+    # and the per-page filter, on first access under solve's deadline.
+    _stop_clock_until(monkeypatch, name)
+    report = search.solve(3, 6, 3, budget=Budget(max_seconds=1.0))
+    assert not report.incomplete and len(report.survivor_indices) == 6
+    with pytest.raises(BudgetExceededError, match=f"^{phase} exceeded 1.0 seconds$"):
+        report.to_json()
+
+
+@pytest.mark.parametrize("fmt, code", [("json", EXIT_BUDGET), ("table", cli.EXIT_AMBIGUOUS)])
+def test_time_budget_covers_the_log_on_the_cli(monkeypatch, capsys, fmt, code):
+    # The clock moves on between solve returning and the output: only the
+    # JSON reads the log, so only it runs past the deadline.
+    _stop_clock_until(monkeypatch, "solve")
+    monkeypatch.setattr(cli, "solve", search.solve)
+    argv = ["solve", "--k", "3", "--p", "6", "--q", "3", "--max-seconds", "1", "--format", fmt]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    if fmt == "json":
+        assert not out and err == "budget exceeded: page reduction exceeded 1.0 seconds\n"
+    else:
+        assert out.startswith("# 6 surviving candidates\n") and not err
 
 
 def test_time_budget_covers_the_census(monkeypatch):
