@@ -34,13 +34,15 @@ from .search import (
     solve,
     subspace_filter,
 )
-from .oracle import (
-    PageDiagnostics,
-    fixed_set_poincare,
-    gaussian_binomial,
-    naive_solve,
-    validate_page,
-)
+
+
+def __getattr__(name: str):
+    # The oracles, slow and unused by ``solve``, load on first use.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+    return getattr(oracle, name)
+
 
 __version__ = "0.1.0"
 

@@ -263,7 +263,7 @@ def _cmd_solve(args, out) -> int:
             for i, m in enumerate(survivors):
                 out.write(f"# candidate {i}\n")
                 _emit_module(m, args.format, out)
-    return EXIT_OK if len(report.survivor_indices) == 1 else EXIT_AMBIGUOUS
+    return EXIT_OK if len(report.survivor_states) == 1 else EXIT_AMBIGUOUS
 
 
 def _cmd_story(args, out) -> int:

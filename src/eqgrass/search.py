@@ -6,34 +6,22 @@ of the same space must reach the true answer as well.  The solver:
 
   a. builds the deduplicated first pages over all sign words, each kept
      as its cells' weights and decoded into a module only for page 0,
-  b. enumerates everything the lowest-tension page can converge to,
+  b. walks the closure of page 0, the lowest-tension page, by single
+     shifts, so a summand shifted down by one move may support the next,
+     one part per component of the moves, and leaves the parts unjoined,
   c. takes the need, the fieldwise maximum of every page's counts on the
      corners C that the closure's moves change, and
-  d. strikes every candidate whose shift story, carried from the start
-     through the closure, falls short of the need.
+  d. keeps each part's states whose shift story covers the need on that
+     part's corners, and joins only those: the survivors.
 
-The report's log, which only the JSON reads, is built on first access:
-``reduce_pages``' rule drops the pages that relax to other pages, on
-corner keys over page 0's whole grid (``_corner_keys``), and each struck
-candidate is filed under the first kept page it fails.  Each rule is
-written once.  ``modalg.is_legal_shift`` is the move rule,
-``modalg.possible_differentials`` lists the (src, tgt) moves it admits
-and ``modalg.shift_result`` is the result of a move; relaxation is one
-integer comparison of packed corner counts, which
-``FreeModule.can_relax_to`` checks in the
-tests.  Step b, the closure, replays single shifts
-breadth-first, recomputing the possible differentials at every
-intermediate module, so a summand shifted down by one move may support
-the next, as re-running the sequence after each cell attachment would.
-Every move strictly lowers tension, so the closure is finite.  The
-moves, listed once over the closed cell set, link their cells into
-components; a move reads and writes only its own component and keeps
-its number of generators, so the closure is exactly the product of the
-components' closures, and each component is walked alone.
-``oracle.closure_oracle``, one search over whole modules, is its slow
-reference.  The module cap is checked on a count, made before the
-search, of page 0's down-set, which holds the closure.  The time budget
-runs from the start of ``solve`` and covers the log too.
+The candidates, the parts' whole product, and the report's log, which
+only the JSON reads, are built on first access; the log drops the pages
+that relax to others (``reduce_pages``) and files each struck candidate
+under the first kept page it fails.  Every move strictly lowers tension,
+so the closure is finite; ``oracle.closure_oracle`` is its slow
+reference.  The module cap is checked on a count of page 0's down-set,
+which holds the closure, before the walk.  The time budget runs from the
+start of ``solve`` and covers the join and the log too.
 """
 
 from __future__ import annotations
@@ -46,7 +34,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, partial
-from itertools import accumulate, chain, groupby, repeat, starmap
+from itertools import accumulate, chain, groupby, product, repeat, starmap
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -94,16 +82,20 @@ def candidate_outcomes(module: FreeModule, strategy: str = DEFAULT_STRATEGY,
     be ``DEFAULT_STRATEGY``; any other value raises ``ValueError``."""
     if strategy != DEFAULT_STRATEGY:
         raise ValueError(f"unknown strategy {strategy!r}")
-    cells, states, _, _ = _closure(module, budget, time.monotonic())
+    began = time.monotonic()
+    cells, start, parts, _, _ = _closure(module, budget, began)
+    states = _join(start, parts, budget, began)[0]
     return [_module(cells, table) for table in _tables(cells, states, len(module))]
 
 
-def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, list, tuple, list]:
-    """The sorted cells of ``module``'s closure, its states in descending
-    order, ``(guard, count)`` and each state's story, its own ``count``:
-    ``count(gens)`` packs the number of ``gens`` in each corner of C, the
-    corners {a <= i, e <= t} that the moves change, a field each below a
-    guard bit.  ``budget.max_seconds`` counts from ``began``."""
+def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, tuple, list, list, tuple]:
+    """``(cells, start, parts, tops, (guard, count))``: the sorted cells of
+    ``module``'s closure and its factors.  ``count(gens)`` packs the number
+    of ``gens`` in each corner of C, the corners {a <= i, e <= t} that the
+    moves change, a field each below a guard bit.  ``start`` is the packed
+    shares of the components without moves and ``count(module.gens)``; a
+    part maps a moving component's states to their rises, and ``tops[j]``
+    holds the guard bits of the corners that part j's moves change."""
     # The count comes first, so no cell or state is built past the module
     # cap.  The cells are closed, so ``moves`` holds every move any state
     # makes; a move takes one generator from each of two cells and adds one
@@ -149,12 +141,13 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
         r = find(shift[src])
         for cell in ends:
             root[find(shift[cell])] = r
-    walks: dict[int, dict[int, list]] = {}  # by component root, then source shift
+    walks, tops = {}, {}  # by component root: moves by source shift, the OR of their rises
     for src, tgt, x, y in moves:
-        i, j = shift[src], shift[tgt]
+        i, j, r = shift[src], shift[tgt], find(shift[src])
         step = (1 << shift[x]) + (1 << shift[y]) - (1 << i) - (1 << j)
         rise = unit(*x) + unit(*y) - unit(*src) - unit(*tgt)
-        walks.setdefault(find(i), {}).setdefault(i, []).append((j, step, rise))
+        walks.setdefault(r, {}).setdefault(i, []).append((j, step, rise))
+        tops[r] = tops.get(r, 0) | rise
     shares = dict.fromkeys(root, 0)  # of the start, by component root
     for gen in module.gens:
         shares[find(shift[gen])] += 1 << shift[gen]
@@ -177,18 +170,26 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, li
                         seen[child] = story + rise
                         frontier.append(child)
         parts.append(seen)
-    # Joining the largest part last keeps the product built before it
-    # small, so only a fraction of the states is ever held twice.
-    seen = {sum(shares.values()): sum(starmap(unit, module.gens))}
+    _check_clock(began, budget, "candidate enumeration")
+    start = (sum(shares.values()), sum(starmap(unit, module.gens)))
+    return (cells, start, parts, [tops[r] << bits - 1 for r in walks],
+            (sum(bit.values()) << bits - 1, lambda gens: sum(starmap(unit, gens))))
+
+
+def _join(start: tuple[int, int], parts: Sequence[dict], budget: Budget,
+          began: float) -> tuple[list[int], list[int]]:
+    """``start`` times the ``parts``: the states in descending order, the
+    canonical one (more generators in the first differing cell make the
+    smaller module and the larger int), and their stories.  The largest
+    part is joined last, so few states are held twice, and the clock is
+    read before each product that multiplies more than one state."""
+    seen = dict([start])
     for part in sorted(parts, key=len):
-        _check_clock(began, budget, "candidate enumeration")
+        if len(seen) > 1:
+            _check_clock(began, budget, "candidate enumeration")
         seen = {s + t: u + v for s, u in seen.items() for t, v in part.items()}
-    # A module with more generators in the first differing cell is the
-    # smaller one, and its table the larger int, so descending states
-    # give the canonical order.
     states = sorted(seen, reverse=True)
-    guard = sum(bit.values()) << bits - 1
-    return cells, states, (guard, lambda gens: sum(starmap(unit, gens))), [*map(seen.get, states)]
+    return states, [*map(seen.get, states)]
 
 
 def _count_down_set(page0: FreeModule, budget: Budget, began: float) -> int:
@@ -311,13 +312,11 @@ def reduce_pages(pages: Sequence[FreeModule]) -> list[FreeModule]:
     target's outcomes are a subset, so the dropped page adds nothing.
 
     ``pages`` must be distinct and sorted by tension ascending, as
-    ``unique_e1_pages`` returns them.  Relaxing strictly lowers tension,
-    so only earlier pages can be targets, and the first page is always
-    kept.  Each page is checked against the kept pages only: relaxation
-    is transitive, so the result is the same as checking every earlier
-    page.  A page with other margins than the first, or with lower tension
-    than the page before it, raises ``ValueError``.
-    """
+    ``unique_e1_pages`` returns them, so only earlier pages can be targets
+    and the first page is kept; as relaxation is transitive, each page is
+    checked against the kept pages only.  A page with other margins than
+    the first, or with lower tension than the page before, raises
+    ``ValueError``."""
     margins = _margins(pages[0]) if pages else None
     if any(_margins(page) != margins for page in pages):
         raise ValueError("every page must have the first page's degrees and values of e")
@@ -337,12 +336,11 @@ def subspace_filter(candidates: Iterable[FreeModule], h_sub: FreeModule,
 @dataclass(frozen=True)
 class SolveReport:
     """Full trace of one solver run, built once by ``solve``; byte-stable JSON.
-    ``census`` is ``schubert._census``'s ``(gen, values, pages)``, or None if
-    the census did not finish; ``pages`` decodes it on first access.  The
-    candidates, ``pages[0]``'s closure, are decoded from ``states`` once.
-    The log, ``filter_page_indices`` and ``filter_log``, is found once on
-    first access under the run's deadline, so reading it, or ``to_json``,
-    can raise ``BudgetExceededError``."""
+    ``census`` is ``schubert._census``'s ``(gen, values, pages)``, or None.
+    ``states``, the join of the closure's parts, ``survivor_indices``, the
+    positions of ``survivor_states`` in it, ``candidates`` and the log are
+    each built once on first access, under the run's deadline, so reading
+    them or ``to_json`` can raise ``BudgetExceededError``."""
 
     k: int
     p: int
@@ -350,10 +348,9 @@ class SolveReport:
     # The pages follow from (k, p, q), and the decoder is new each run.
     census: tuple[dict, Callable, list[bytes]] | None = field(default=None, compare=False)
     cells: list[tuple[int, int]] = field(default_factory=list)
-    states: list[int] = field(default_factory=list)
-    survivor_indices: list[int] = field(default_factory=list)
+    survivor_states: list[int] = field(default_factory=list)
     failure: str | None = None
-    # The log's inputs: the closure's guard, count on C and stories, budget and start.
+    # The closure's start, parts, guard and count on C, the budget and the start time.
     closure: tuple | None = field(default=None, compare=False)
 
     @property
@@ -373,8 +370,8 @@ class SolveReport:
         # highest tension down, which orders the log, not the survivors.
         if self.closure is None:
             return [], []
-        top, count, stories, budget, began = self.closure
-        filters = _kept_pages(self.pages, budget, began)[:0:-1]
+        _, _, top, count, budget, began = self.closure
+        filters, stories = _kept_pages(self.pages, budget, began)[:0:-1], self._joined[1]
         alive, log = range(len(stories)), []
         for i in filters:  # each candidate is filed under the first page it fails
             _check_clock(began, budget, "candidate filter")
@@ -389,6 +386,20 @@ class SolveReport:
     filter_page_indices = property(lambda self: self._log[0])
     filter_log = property(lambda self: self._log[1])
 
+    @cached_property
+    def _joined(self) -> tuple[list[int], list[int]]:  # the states and their stories
+        if self.closure is None:
+            return [], []
+        start, parts, _, _, budget, began = self.closure
+        return _join(start, parts, budget, began)
+
+    states = property(lambda self: self._joined[0])
+
+    @cached_property
+    def survivor_indices(self) -> list[int]:
+        alive = set(self.survivor_states)
+        return [i for i, state in enumerate(self.states) if state in alive]
+
     def _unpack(self, states: Iterable[int]) -> Iterator[tuple[int, ...]]:
         # Every page has one generator per cell.
         return _tables(self.cells, states, math.comb(self.p, self.k))
@@ -399,14 +410,12 @@ class SolveReport:
 
     @property
     def survivors(self) -> list[FreeModule]:
-        states = [self.states[i] for i in self.survivor_indices]
-        return [_module(self.cells, table) for table in self._unpack(states)]
+        return [_module(self.cells, table) for table in self._unpack(self.survivor_states)]
 
     def to_json(self) -> dict:
-        # "strategy", "tensions" and "chosen" restate constants, the pages
-        # and the closure's start, page 0; they stay so that the bytes of
-        # `solve --format json` do.  Over the sorted cells a candidate's
-        # table gives FreeModule.to_json's list.
+        # "strategy", "tensions" and "chosen" restate constants, the pages and
+        # page 0, and stay so that the bytes of `solve --format json` do.  Over
+        # the sorted cells a candidate's table gives FreeModule.to_json's list.
         return {
             "parameters": {"k": self.k, "p": self.p, "q": self.q},
             "strategy": {"kind": DEFAULT_STRATEGY, "depth": None},
@@ -433,8 +442,8 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
     and ``jobs`` may only be 1.  Budget exhaustion produces a partial
     report whose ``failure`` names the cap instead of an exception;
     ``max_seconds`` runs from the call and covers the sign-word census,
-    the count, the closure and the filter.  The page reduction and the
-    per-page filter of the report's log run on its first access.
+    the count, the closure and the filter, and then the report's join and
+    log, which run on first access.
     """
     check_parameters(k, p, q)
     if jobs != 1:
@@ -445,7 +454,7 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
         tick = partial(_check_clock, began, budget, "sign-word census")
         census = gen, values, pages = _census(k, p, q, budget.max_words, tick)
         page0 = FreeModule(map(gen.__getitem__, values(pages[0])))
-        cells, states, (top, count), stories = _closure(page0, budget, began)
+        cells, start, parts, tops, (top, count) = _closure(page0, budget, began)
         # Candidate B passes page P when B_x >= P_x at every corner x, so
         # when its story covers P's own counts on C.  Off C, B_x = page0_x
         # >= P_x: if P_x > page0_x at x = (i, t), then by P's degrees and
@@ -453,6 +462,9 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
         # (c > i, e2 <= t), a move of page 0 that changes x.  So B passes
         # every page when its story covers the need, the fieldwise maximum
         # of the pages' counts, each summed from its packed values' units.
+        # Move rectangles of different components share no corner, so on
+        # part j's fields B's story is the start's plus part j's rise: B
+        # passes when each of its parts covers the need on its own fields.
         unit = _Made(lambda value: count([gen[value]]))
         low = len(page0).bit_length()  # field 0's guard bit, as _closure packs
         need = 0
@@ -462,8 +474,14 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
             ge = ((need | top) - c) & top  # the guard of each field where need >= c
             m = ge - (ge >> low)  # those fields' value bits
             need = (need & m) | (c & ~m)
-        alive = [c for c, story in enumerate(stories) if ((story | top) - need) & top == top]
+        kept = []
+        for part, top_j in zip(parts, tops):
+            _check_clock(began, budget, "candidate filter")
+            need_j = need & top_j - (top_j >> low)
+            kept.append([s for s, rise in part.items()
+                         if ((start[1] + rise | top_j) - need_j) & top_j == top_j])
+        alive = sorted(map(sum, product([start[0]], *kept)), reverse=True)
     except BudgetExceededError as exc:
         return SolveReport(k, p, q, census, failure=str(exc))
-    return SolveReport(k, p, q, census, cells, states, alive, None,
-                       (top, count, stories, budget, began))
+    return SolveReport(k, p, q, census, cells, alive, None,
+                       (start, parts, top, count, budget, began))

@@ -11,9 +11,11 @@ from eqgrass import search
 from eqgrass.bipoly import parse_bipoly
 from eqgrass.cli import EXIT_AMBIGUOUS, EXIT_BUDGET, EXIT_OK, EXIT_USAGE, run
 from eqgrass.known import KNOWN_TABLES, six_candidates
+from eqgrass.modalg import FreeModule
 from eqgrass.search import solve
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def invoke(argv):
@@ -414,6 +416,43 @@ def test_answers_build_no_corner_keys(monkeypatch):
         assert (code, hashlib.sha256(text.encode()).hexdigest()) == (EXIT_OK, digest)
     with pytest.raises(AssertionError, match="corner keys"):
         solve(3, 6, 3).to_json()
+
+
+# sha256 of the stdout of `solve --format table` and `poly` on (3,6,3).
+SOLVE_3_6_3_STDOUT_SHA256 = {
+    "table": "df8c99ed0fd7345c0b30938154e5ef0f7a7d39b69963ec59ad8ade688ab6df43",
+    "poly": "9f65f7347e7054f0b351d12ddfb98de78d729abdb4b18a2bbe1cecbbde2035d7",
+}
+
+
+def test_answers_never_join(monkeypatch):
+    # The survivors are the product of each part's surviving states; only
+    # the candidates, the states and the JSON join the whole closure.
+    def refuse(*args):
+        raise AssertionError("candidates joined for an answer")
+
+    monkeypatch.setattr(search, "_join", refuse)
+    for (k, p, q), table in KNOWN_TABLES.items():
+        argv = ["solve", "--k", str(k), "--p", str(p), "--q", str(q), "--format"]
+        assert invoke(argv + ["table"]) == (EXIT_OK, (DATA / f"gr{k}_{p}_{q}.txt").read_text())
+        assert invoke(argv + ["poly"]) == (EXIT_OK, f"{table.poincare()}\n")
+    for fmt, digest in SOLVE_3_6_3_STDOUT_SHA256.items():
+        code, text = invoke(["solve", "--k", "3", "--p", "6", "--q", "3", "--format", fmt])
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (EXIT_AMBIGUOUS, digest)
+    entry = json.loads((ROOT / "perfbench" / "references.json").read_text())["survivors"]["4,8,2"]
+    survivors = solve(4, 8, 2).survivors
+    assert set(survivors) == {FreeModule.from_counts({(a, b): n for a, b, n in m}) for m in entry}
+    monkeypatch.undo()
+
+    calls = []
+    join = search._join
+    monkeypatch.setattr(search, "_join", lambda *args: calls.append(1) or join(*args))
+    report = solve(4, 8, 2)
+    assert report.survivors == survivors and not calls
+    assert len(report.states) == 7776 and calls == [1]
+    assert report.survivors == [report.candidates[i] for i in report.survivor_indices]
+    report.to_json()
+    assert calls == [1]
 
 
 def test_solve_ambiguous_exit_1():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import eqgrass
 
 
@@ -13,3 +18,10 @@ def test_star_import_in_fresh_namespace():
     exec("from eqgrass import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(eqgrass.__all__)
+
+
+def test_import_leaves_the_oracles_until_first_use():
+    code = ("import sys, eqgrass; assert 'eqgrass.oracle' not in sys.modules; "
+            "assert eqgrass.naive_solve is sys.modules['eqgrass.oracle'].naive_solve")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -178,9 +178,9 @@ def _assert_stories_are_corner_count_differences(module):
     rows, cols = (sorted(set(margin)) for margin in search._margins(module))
     on_c = sorted({(i, t) for (a, b), (c, d) in _closed_moves(module) for i in rows
                    if a <= i < c for t in cols if c - d <= t < a - b})
-    cells, states, (guard, count), stories = search._closure(
-        module, Budget(max_modules=None), time.monotonic()
-    )
+    unlimited, began = Budget(max_modules=None), time.monotonic()
+    cells, start, parts, _, (guard, count) = search._closure(module, unlimited, began)
+    states, stories = search._join(start, parts, unlimited, began)
     width = len(module).bit_length() + 1
     assert guard == sum(1 << width * j + width - 1 for j in range(len(on_c)))
     start = _corner_counts(module, _grid(module))
@@ -382,8 +382,8 @@ def test_time_budget_covers_the_walks_and_joins(monkeypatch, walks):
     # (4,8,2)'s first page splits into 4 move components.  The clock holds
     # still until the frontier of walk number `walks` runs dry and then
     # jumps 100 seconds.  After the first walk the next walk's check trips
-    # before it takes a state; after the last, the check before the first
-    # join trips.
+    # before it takes a state; after the last, the check that ends the
+    # closure, before any filter or join, trips.
     now = [0.0]
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
     frontiers = []
@@ -450,7 +450,9 @@ def test_closure_is_the_down_set_in_the_box():
     # on these modules the module cap aborts exactly the runs a walk would.
     unlimited = Budget(max_modules=None)
     for module in _box_modules():
-        states = search._closure(module, unlimited, time.monotonic())[1]
+        began = time.monotonic()
+        _, start, parts, _, _ = search._closure(module, unlimited, began)
+        states = search._join(start, parts, unlimited, began)[0]
         assert len(states) == search._count_down_set(module, unlimited, 0.0), module
 
 
@@ -717,11 +719,23 @@ def test_survivors_decode_no_census_page_past_page0(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "space", CRITERION_8_SPACES + [(3, 7, 2), (4, 8, 2), (2, 11, 5), (2, 13, 6)]
+    "space",
+    CRITERION_8_SPACES + [(3, 7, 2), (4, 8, 2), (2, 11, 5), (2, 13, 6), (3, 8, 3), (3, 10, 2)],
 )
 def test_one_need_survivors_are_what_the_page_filter_leaves(space):
-    # The per-page filter of the log is the one need's oracle.
+    # The survivors come from filtering each part alone; their oracles are
+    # the whole join filtered by the one need, the fieldwise maximum of the
+    # pages' counts on C, and the log's per-page filter.
     report = solve(*space)
+    _, _, top, count, _, _ = report.closure
+    width = len(report.pages[0]).bit_length() + 1
+    counts = [count(page.gens) for page in report.pages]
+    need = sum(max(c >> j & (1 << width) - 1 for c in counts) << j
+               for j in range(0, top.bit_length(), width))
+    states, stories = report._joined
+    assert report.survivor_states == [
+        state for state, story in zip(states, stories) if ((story | top) - need) & top == top
+    ]
     struck = {c for _, removed in report.filter_log for c in removed}
     assert report.survivor_indices == [c for c in range(len(report.states)) if c not in struck]
 
@@ -956,6 +970,59 @@ def test_time_budget_covers_the_log(monkeypatch, name, phase):
     assert not report.incomplete and len(report.survivor_indices) == 6
     with pytest.raises(BudgetExceededError, match=f"^{phase} exceeded 1.0 seconds$"):
         report.to_json()
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda r: r.states, lambda r: r.candidates, lambda r: r.to_json()],
+    ids=["states", "candidates", "to_json"],
+)
+def test_time_budget_covers_the_join(monkeypatch, read):
+    # (4,8,2)'s closure has four parts.  solve joins only the survivors'
+    # states; the whole join runs on first access, under solve's deadline.
+    _stop_clock_until(monkeypatch, "solve")
+    report = search.solve(4, 8, 2, budget=Budget(max_seconds=1.0))
+    assert not report.incomplete and len(report.survivors) == 6
+    with pytest.raises(BudgetExceededError, match="^candidate enumeration exceeded 1.0 seconds$"):
+        read(report)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["candidates"], EXIT_BUDGET), (["solve", "--format", "json"], EXIT_BUDGET),
+     (["solve", "--format", "table"], cli.EXIT_AMBIGUOUS)],
+    ids=["candidates", "json", "table"],
+)
+def test_time_budget_covers_the_join_on_the_cli(monkeypatch, capsys, argv, code):
+    _stop_clock_until(monkeypatch, "solve")
+    monkeypatch.setattr(cli, "solve", search.solve)
+    assert run([*argv, "--k", "4", "--p", "8", "--q", "2", "--max-seconds", "1"]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_BUDGET:
+        assert not out and err == "budget exceeded: candidate enumeration exceeded 1.0 seconds\n"
+    else:
+        assert out.startswith("# 6 surviving candidates\n") and not err
+
+
+def test_time_budget_covers_the_part_filter(monkeypatch):
+    # The clock jumps at the first check after the need's check of every
+    # page: the check before the first part is filtered.
+    pages = len(solve(4, 8, 2).pages)
+    now, filters = [0.0], []
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    check = search._check_clock
+
+    def counting(began, budget, phase):
+        if phase == "candidate filter":
+            filters.append(phase)
+            if len(filters) == pages + 1:
+                now[0] += 100.0
+        check(began, budget, phase)
+
+    monkeypatch.setattr(search, "_check_clock", counting)
+    report = solve(4, 8, 2, budget=Budget(max_seconds=1.0))
+    assert report.failure == "candidate filter exceeded 1.0 seconds"
+    assert len(filters) == pages + 1 and not report.survivor_states
 
 
 @pytest.mark.parametrize("fmt, code", [("json", EXIT_BUDGET), ("table", cli.EXIT_AMBIGUOUS)])
