@@ -14,24 +14,25 @@ pivot column carry different letters.  The first page of the filtration
 spectral sequence then has one generator per cell, placed at
 (dimension, weight).
 
-Every page builder computes weights by one formula on packed column
-slices, with a field for each row of the cells.  Per column j, free[j]
-has a one in each row where j is free and pivot[j] an all-ones field in
-each row whose pivot is j; D holds each row's count of free columns.
-For a word with sign positions S, A = sum of free[j] over S and M = sum
-of pivot[j] over S give the row weights (A & ~M) | ((D - A) & M): a row
-with a sign pivot weighs its free trivial columns, any other row its
-free sign columns.
+Every page builder weighs a block of words at once, on ints with an f-bit
+field per word.  S[j] has a one in the field of each word with a sign
+letter at column j.  Row r of a cell, with 0-based pivot column c, has
+c - r free columns: A = S[0] + ... + S[c - 1] less S of the cell's earlier
+pivots counts its free sign columns, M = S[c] * (2^f - 1) fills the fields
+of the words with a sign pivot, and the row weighs (A & ~M) | ((c - r - A)
+& M): a row with a sign pivot weighs its free trivial columns, any other
+row its free sign columns.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations, repeat
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate, combinations, islice
+from operator import add
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .modalg import FreeModule
 
@@ -91,42 +92,95 @@ def _typecode(size: int) -> str:
     return next(t for t in "BHIQ" if size < 1 << 8 * struct.calcsize(">" + t))
 
 
-def _weigher(cells: list[tuple[int, ...]], k: int, p: int) -> tuple[str, int, Callable]:
-    """``(code, bits, weigh)``: ``weigh(signs)`` gives each cell's dimension
-    d and weight w under the word whose sign letters sit at the 0-based
-    positions ``signs``, as ``d << bits | w``, which the struct integer
-    code ``code`` holds.  Each cell has k of the p columns."""
-    bits = (k * (p - k)).bit_length()  # k(p - k) is the largest dimension
-    code = _typecode(k * (p - k) << bits | k * (p - k))
-    size = struct.calcsize("<" + code)
-    stride = max(k, 1) * size  # a cell's rows; with k = 0 one empty row
-    n = stride * len(cells)
-    free = [bytearray(n) for _ in range(p)]
-    pivot = [bytearray(n) for _ in range(p)]
-    dims = bytearray(n)
-    for at, pivots in zip(range(0, n, stride), cells):
-        taken = {c - 1 for c in pivots}
-        dim = 0
-        for row, c in zip(range(at, n, size), pivots):
-            cols = [j for j in range(c - 1) if j not in taken]
-            for j in cols:
-                free[j][row] = 1
-            pivot[c - 1][row:row + size] = b"\xff" * size
-            dim += len(cols)
-        dims[at:at + size] = (dim << bits).to_bytes(size, "little")
-    ints = partial(int.from_bytes, byteorder="little")
-    free, pivot, dims = [*map(ints, free)], [*map(ints, pivot)], ints(dims)
-    d = sum(free)  # each row's count of free columns
-    fold = range(0, 8 * size * k, 8 * size)  # sums a cell's rows into its first
-    unpack = struct.Struct("<" + f"{code}{stride - size}x" * len(cells)).unpack
+class _Made(dict):
+    """A dict that makes each missing value from its key, once."""
 
-    def weigh(signs: Sequence[int]) -> tuple[int, ...]:
-        a = sum(map(free.__getitem__, signs))  # each row's free sign columns
-        m = sum(map(pivot.__getitem__, signs))  # all ones in rows with a sign pivot
-        rows = (a & ~m) | ((d - a) & m)
-        return unpack(sum((rows >> s for s in fold), dims).to_bytes(n, "little"))
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
 
-    return code, bits, weigh
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _Weigher:
+    """Weighs ``cells`` of Gr_k(R^p), of dimensions ``dims``, under the words
+    with q sign letters, BLOCK_WORDS at a time, an f-bit field of type code
+    ``code`` per word.  A page packs its generators d << bits | w sorted and
+    big-endian, so bytes order is canonical module order at equal tension."""
+
+    def __init__(self, cells: list[tuple[int, ...]], p: int, q: int = 0):
+        self.cells, self.p, self.q = cells, p, q
+        self.dims = [sum(c) - len(c) * (len(c) + 1) // 2 for c in cells]  # free entries
+        top = max(self.dims, default=0)
+        self.code = _typecode(max(top, len(cells)) << 1)  # and a guard bit
+        self.f, self.bits = 8 * struct.calcsize(self.code), top.bit_length()
+        self.power = [1 << w for w in range(top + 1)].__getitem__
+        self.packed = struct.Struct(f">{len(cells)}{_typecode(top << self.bits | top)}")
+        self.shifted = [d << self.bits for d in self.dims]
+
+    def weigh(self, words: Sequence[Sequence[int]]) -> list[int]:
+        """Each cell's weights under ``words``, each its sign positions: field w for words[w]."""
+        size, full = self.f // 8, (1 << self.f) - 1
+        marks = [bytearray(size * len(words)) for _ in range(self.p)]
+        for at, signs in zip(range(0, size * len(words), size), words):
+            for j in signs:
+                marks[j][at] = 1
+        sign = [int.from_bytes(m, "little") for m in marks]
+        prefix, fill = [*accumulate(sign, initial=0)], [s * full for s in sign]
+        ones, weights = ((1 << self.f * len(words)) - 1) // full, []
+        for pivots in self.cells:
+            weight = taken = 0
+            for r, c in enumerate(pivots):
+                a, m = prefix[c - 1] - taken, fill[c - 1]
+                weight += (a & ~m) | (((c - 1 - r) * ones - a) & m)
+                taken += sign[c - 1]
+            weights.append(weight)
+        return weights
+
+    def columns(self, n: int, weights: list[int]) -> list[memoryview]:
+        """The first ``n`` fields of each packed int, field 0 first."""
+        size, step = n * self.f // 8, 1 if sys.byteorder == "little" else -1
+        return [memoryview(w.to_bytes(size, sys.byteorder)).cast(self.code)[::step] for w in weights]
+
+    def page(self, word: SignWord) -> FreeModule:
+        return FreeModule(zip(self.dims, self.weigh([word.positions])))
+
+    def blocks(self) -> Iterator[tuple[int, list[int]]]:
+        """Each block's word count and cell weights."""
+        words = _sign_positions(self.p, self.q)
+        while block := [*islice(words, BLOCK_WORDS)]:
+            yield len(block), self.weigh(block)
+
+    def key(self, weights: Sequence[int]) -> tuple[int, bytes]:
+        """A word's page as its tension and packed bytes, which order pages."""
+        return sum(map(self.power, weights)), self.packed.pack(*sorted(map(add, self.shifted, weights)))
+
+    def least(self, tick: Callable[[], None]) -> tuple[FreeModule, Iterable[tuple[int, list[int]]]]:
+        """Page 0, the page of least tension, ties broken on the keys of its
+        words alone, and the blocks once more; ``tick`` follows each block."""
+        best = (math.inf,)
+        for i, block in enumerate(self.blocks()):
+            for ws in zip(*self.columns(*block)):
+                if sum(map(self.power, ws)) <= best[0]:
+                    best = min(best, (*self.key(ws), ws))
+            tick()
+        return FreeModule(zip(self.dims, best[2])), [block] if i == 0 else self.blocks()
+
+    def pages(self) -> list[FreeModule]:
+        """The distinct pages by tension, then bytes, sharing generator tuples."""
+        keys = sorted({self.key(ws) for block in self.blocks() for ws in zip(*self.columns(*block))})
+        gen = _Made(lambda value: divmod(value, 1 << self.bits))
+        return [FreeModule(map(gen.__getitem__, self.packed.unpack(page))) for _, page in keys]
+
+    def most(self, n: int, weights: list[int], corners: list[tuple[int, int]]) -> list[int]:
+        """Each corner (i, t)'s most cells with d <= i and w >= d - t in one of ``n`` words."""
+        ones = ((1 << self.f * n) - 1) // ((1 << self.f) - 1)
+        guard = ones << self.f - 1  # (w | guard) - (d - t) keeps it where w >= d - t
+        counts = [sum((w | guard) - (d - t) * ones & guard for d, w in zip(self.dims, weights)
+                      if d <= i) >> self.f - 1 for i, t in corners]
+        return [*map(max, self.columns(n, counts))]
 
 
 def cell_bidegree(pivots: tuple[int, ...], word: SignWord) -> tuple[int, int]:
@@ -138,18 +192,14 @@ def cell_bidegree(pivots: tuple[int, ...], word: SignWord) -> tuple[int, int]:
     if not all(type(b) is int and a < b for a, b in zip((0, *pivots), pivots)):
         raise ValueError(f"pivots {pivots} must be ints strictly increasing from 1")
     if pivots and word.p < pivots[-1]:
-        raise ValueError(
-            f"sign word of length {word.p} too short for pivots {pivots}"
-        )
-    _, bits, weigh = _weigher([pivots], len(pivots), word.p)
-    return divmod(weigh(word.positions)[0], 1 << bits)
+        raise ValueError(f"sign word of length {word.p} too short for pivots {pivots}")
+    return _Weigher([pivots], word.p).page(word).gens[0]
 
 
 def e1_page(k: int, word: SignWord) -> FreeModule:
     """First page of the filtration spectral sequence: one generator
     per cell at (dimension, weight)."""
-    _, bits, weigh = _weigher(enumerate_cells(k, word.p), k, word.p)
-    page = FreeModule(map(divmod, weigh(word.positions), repeat(1 << bits)))
+    page = _Weigher(enumerate_cells(k, word.p), word.p).page(word)
     assert all(0 <= b <= a for a, b in page.gens)
     return page
 
@@ -166,48 +216,16 @@ def sign_words(p: int, q: int) -> list[SignWord]:
     return [SignWord(tuple(i in signs for i in range(p))) for signs in _sign_positions(p, q)]
 
 
-class _Made(dict):
-    """A dict that makes each missing value from its key, once."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
+BLOCK_WORDS = 2048  # words weighed at once; the default word budget fits in one block
 
 
-def _census(k: int, p: int, q: int, max_words: int | None = None,
-            tick: Callable | None = None) -> tuple[dict, Callable, list[bytes]]:
-    """``(gen, values, pages)``: the distinct first pages over all sign words
-    in ``unique_e1_pages``' order, packed in bytes; ``values(page)`` gives a
-    page's packed generators in canonical order, and ``gen[value]`` one's bidegree."""
-    positions = _sign_positions(p, q)
-    n_words = math.comb(p, q)
-    if max_words is not None and n_words > max_words:
-        raise BudgetExceededError(
-            f"(k={k}, p={p}, q={q}) needs {n_words} sign words, over the "
-            f"budget of {max_words}; raise the word budget to continue"
-        )
-    cells = enumerate_cells(k, p)
-    code, bits, weigh = _weigher(cells, k, p)
-    # A page is its generators d << bits | w, sorted and packed big-endian,
-    # so that bytes order is canonical module order among pages of equal
-    # tension.
-    packed = struct.Struct(f">{len(cells)}{code}")
-    pages = set()
-    for signs in positions:
-        pages.add(packed.pack(*sorted(weigh(signs))))
-        if tick is not None:
-            tick()
-    gen = _Made(lambda value: divmod(value, 1 << bits))
-    power = _Made(lambda value: 1 << (value & (1 << bits) - 1))
-
-    def tension(page: bytes) -> int:
-        return sum(map(power.__getitem__, packed.unpack(page)))
-
-    return gen, packed.unpack, sorted(pages, key=lambda page: (tension(page), page))
+def _census(k: int, p: int, q: int, max_words: int | None = None) -> _Weigher:
+    """The weigher of every cell under the C(p, q) sign words, within ``max_words``."""
+    _sign_positions(p, q)  # checks q
+    if max_words is not None and math.comb(p, q) > max_words:
+        raise BudgetExceededError(f"(k={k}, p={p}, q={q}) needs {math.comb(p, q)} sign words, over "
+                                  f"the budget of {max_words}; raise the word budget to continue")
+    return _Weigher(enumerate_cells(k, p), p, q)
 
 
 def unique_e1_pages(k: int, p: int, q: int, max_words: int | None = None) -> list[FreeModule]:
@@ -216,11 +234,10 @@ def unique_e1_pages(k: int, p: int, q: int, max_words: int | None = None) -> lis
 
     ``max_words`` caps how many of the C(p, q) sign words get examined;
     exceeding it raises BudgetExceededError rather than churning on a
-    space whose downstream search is out of reach anyway.  No word list
-    is built: each word is visited as its sign positions.
+    space whose downstream search is out of reach anyway.  Words are weighed
+    BLOCK_WORDS at a time, so no list of words or weights outgrows a block.
     """
-    gen, values, pages = _census(k, p, q, max_words)
-    return [FreeModule(map(gen.__getitem__, values(page))) for page in pages]
+    return _census(k, p, q, max_words).pages()
 
 
 def e1_quotient_page(k: int, word: SignWord, m: int) -> FreeModule:
@@ -231,9 +248,7 @@ def e1_quotient_page(k: int, word: SignWord, m: int) -> FreeModule:
         raise ValueError(f"need m < p, got m={m}, p={word.p}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    cells = [c for c in enumerate_cells(k, word.p) if c and c[-1] > m]
-    _, bits, weigh = _weigher(cells, k, word.p)
-    return FreeModule(map(divmod, weigh(word.positions), repeat(1 << bits)))
+    return _Weigher([c for c in enumerate_cells(k, word.p) if c and c[-1] > m], word.p).page(word)
 
 
 def total_weight_formula(k: int, p: int, q: int) -> int:

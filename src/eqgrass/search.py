@@ -4,13 +4,14 @@ Given the first page of one construction, the spectral sequence can only
 converge to modules reachable by shift moves, and every other construction
 of the same space must reach the true answer as well.  The solver:
 
-  a. builds the deduplicated first pages over all sign words, each kept
-     as its cells' weights and decoded into a module only for page 0,
-  b. walks the closure of page 0, the lowest-tension page, by single
-     shifts, so a summand shifted down by one move may support the next,
-     one part per component of the moves, and leaves the parts unjoined,
-  c. takes the need, the fieldwise maximum of every page's counts on the
-     corners C that the closure's moves change, and
+  a. weighs every sign word at once, a field per word, and takes page 0,
+     the first page of least tension, deduplicating and sorting no page,
+  b. walks the closure of page 0 by single shifts, so a summand shifted
+     down by one move may support the next, one part per component of
+     the moves, and leaves the parts unjoined,
+  c. takes the need, the largest count over the words in each corner of
+     C, the corners that the closure's moves change, off the same fields,
+     and
   d. keeps each part's states whose shift story covers the need on that
      part's corners, and joins only those: the survivors.
 
@@ -39,7 +40,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .modalg import FreeModule, possible_differentials, shift_result
-from .schubert import BudgetExceededError, _census, _Made, _typecode, check_parameters
+from .schubert import BudgetExceededError, _Weigher, _census, _typecode, check_parameters
 
 DEFAULT_MAX_MODULES = 1_000_000
 DEFAULT_MAX_WORDS = 2_000
@@ -89,13 +90,13 @@ def candidate_outcomes(module: FreeModule, strategy: str = DEFAULT_STRATEGY,
 
 
 def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, tuple, list, list, tuple]:
-    """``(cells, start, parts, tops, (guard, count))``: the sorted cells of
-    ``module``'s closure and its factors.  ``count(gens)`` packs the number
-    of ``gens`` in each corner of C, the corners {a <= i, e <= t} that the
-    moves change, a field each below a guard bit.  ``start`` is the packed
-    shares of the components without moves and ``count(module.gens)``; a
-    part maps a moving component's states to their rises, and ``tops[j]``
-    holds the guard bits of the corners that part j's moves change."""
+    """``(cells, start, parts, tops, (guard, count, corners))``: the sorted
+    cells of ``module``'s closure and its factors.  ``count(gens)`` packs the
+    number of ``gens`` in each of the sorted ``corners`` (i, t) of C, the
+    {a <= i, e <= t} that the moves change, a field each below a guard bit.
+    ``start`` is the packed shares of the components without moves and
+    ``count(module.gens)``; a part maps a moving component's states to their
+    rises, and ``tops[j]`` holds the guard bits of part j's corners."""
     # The count comes first, so no cell or state is built past the module
     # cap.  The cells are closed, so ``moves`` holds every move any state
     # makes; a move takes one generator from each of two cells and adds one
@@ -173,7 +174,7 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, tu
     _check_clock(began, budget, "candidate enumeration")
     start = (sum(shares.values()), sum(starmap(unit, module.gens)))
     return (cells, start, parts, [tops[r] << bits - 1 for r in walks],
-            (sum(bit.values()) << bits - 1, lambda gens: sum(starmap(unit, gens))))
+            (sum(bit.values()) << bits - 1, lambda gens: sum(starmap(unit, gens)), [*bit]))
 
 
 def _join(start: tuple[int, int], parts: Sequence[dict], budget: Budget,
@@ -336,7 +337,7 @@ def subspace_filter(candidates: Iterable[FreeModule], h_sub: FreeModule,
 @dataclass(frozen=True)
 class SolveReport:
     """Full trace of one solver run, built once by ``solve``; byte-stable JSON.
-    ``census`` is ``schubert._census``'s ``(gen, values, pages)``, or None.
+    ``census`` is the ``schubert._Weigher`` that weighed every word, or None.
     ``states``, the join of the closure's parts, ``survivor_indices``, the
     positions of ``survivor_states`` in it, ``candidates`` and the log are
     each built once on first access, under the run's deadline, so reading
@@ -345,8 +346,7 @@ class SolveReport:
     k: int
     p: int
     q: int
-    # The pages follow from (k, p, q), and the decoder is new each run.
-    census: tuple[dict, Callable, list[bytes]] | None = field(default=None, compare=False)
+    census: _Weigher | None = field(default=None, compare=False)
     cells: list[tuple[int, int]] = field(default_factory=list)
     survivor_states: list[int] = field(default_factory=list)
     failure: str | None = None
@@ -360,8 +360,7 @@ class SolveReport:
 
     @cached_property
     def pages(self) -> list[FreeModule]:
-        gen, values, pages = self.census or ({}, None, [])
-        return [FreeModule(map(gen.__getitem__, values(page))) for page in pages]
+        return self.census.pages() if self.census else []
 
     @cached_property
     def _log(self) -> tuple[list[int], list[tuple[int, list[int]]]]:
@@ -449,31 +448,28 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
     if jobs != 1:
         raise ValueError(f"solve runs in one process, got jobs={jobs}")
     began = time.monotonic()
-    census = None
+    weighed = None  # the census, once it has weighed every word
     try:
-        tick = partial(_check_clock, began, budget, "sign-word census")
-        census = gen, values, pages = _census(k, p, q, budget.max_words, tick)
-        page0 = FreeModule(map(gen.__getitem__, values(pages[0])))
-        cells, start, parts, tops, (top, count) = _closure(page0, budget, began)
+        census = _census(k, p, q, budget.max_words)
+        page0, blocks = census.least(partial(_check_clock, began, budget, "sign-word census"))
+        weighed = census
+        cells, start, parts, tops, (top, count, corners) = _closure(page0, budget, began)
         # Candidate B passes page P when B_x >= P_x at every corner x, so
         # when its story covers P's own counts on C.  Off C, B_x = page0_x
         # >= P_x: if P_x > page0_x at x = (i, t), then by P's degrees and
         # values of e page 0 has generators at (a <= i, e1 > t) and
         # (c > i, e2 <= t), a move of page 0 that changes x.  So B passes
         # every page when its story covers the need, the fieldwise maximum
-        # of the pages' counts, each summed from its packed values' units.
+        # of the pages' counts, which is the maximum over the words.
         # Move rectangles of different components share no corner, so on
         # part j's fields B's story is the start's plus part j's rise: B
         # passes when each of its parts covers the need on its own fields.
-        unit = _Made(lambda value: count([gen[value]]))
-        low = len(page0).bit_length()  # field 0's guard bit, as _closure packs
-        need = 0
-        for page in pages:
+        most = [0] * len(corners)
+        for n, weights in blocks:
             _check_clock(began, budget, "candidate filter")
-            c = sum(map(unit.__getitem__, values(page)))
-            ge = ((need | top) - c) & top  # the guard of each field where need >= c
-            m = ge - (ge >> low)  # those fields' value bits
-            need = (need & m) | (c & ~m)
+            most = [*map(max, most, census.most(n, weights, corners))]
+        low = len(page0).bit_length()  # field 0's guard bit, as _closure packs
+        need = sum(m << (low + 1) * j for j, m in enumerate(most))
         kept = []
         for part, top_j in zip(parts, tops):
             _check_clock(began, budget, "candidate filter")
@@ -482,6 +478,6 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
                          if ((start[1] + rise | top_j) - need_j) & top_j == top_j])
         alive = sorted(map(sum, product([start[0]], *kept)), reverse=True)
     except BudgetExceededError as exc:
-        return SolveReport(k, p, q, census, failure=str(exc))
-    return SolveReport(k, p, q, census, cells, alive, None,
+        return SolveReport(k, p, q, weighed, failure=str(exc))
+    return SolveReport(k, p, q, weighed, cells, alive, None,
                        (start, parts, top, count, budget, began))

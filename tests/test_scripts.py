@@ -1,3 +1,4 @@
+import json
 import os
 import runpy
 import subprocess
@@ -28,3 +29,26 @@ def test_regen_goldens_reproduces_committed_files():
     assert sorted(texts) == sorted(path.name for path in data.iterdir())
     for name, text in texts.items():
         assert (data / name).read_bytes() == text.encode(), name
+
+
+def test_bench_records_the_ladder_and_keeps_other_labels(tmp_path):
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"rows": {"parent": {"spaces": []}}}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = str(ROOT / "scripts" / "bench.py")
+    result = subprocess.run(
+        [sys.executable, script, "--out", str(out), "--label", "change"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    data = json.loads(out.read_text())
+    assert data["rows"]["parent"] == {"spaces": []}
+    rows = {tuple(row["space"]): row for row in data["rows"]["change"]["spaces"]}
+    assert list(rows) == [(3, 6, 3), (3, 7, 2), (4, 8, 2), (2, 13, 6), (4, 8, 3)]
+    assert (rows[2, 13, 6]["survivors"], rows[2, 13, 6]["abort"]) == (1, None)
+    assert rows[4, 8, 3]["survivors"] is None
+    assert rows[4, 8, 3]["abort"] == "candidate enumeration exceeded 1000000 modules"
+    assert all(row["wall_ms"] > 0 and row["peak_mib"] > 0 for row in rows.values())

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import time
 import tracemalloc
 from collections import deque
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from eqgrass.bipoly import BiPoly, parse_bipoly
 from eqgrass.modalg import FreeModule, shift_result
 from eqgrass.oracle import closure_oracle
-from eqgrass import cli, search
-from eqgrass.schubert import SignWord, e1_page, sign_words, unique_e1_pages
+from eqgrass import cli, schubert, search
+from eqgrass.schubert import BLOCK_WORDS, SignWord, e1_page, sign_words, unique_e1_pages
 from eqgrass.cli import EXIT_BUDGET, run
 from eqgrass.search import (
     Budget,
@@ -179,9 +180,10 @@ def _assert_stories_are_corner_count_differences(module):
     on_c = sorted({(i, t) for (a, b), (c, d) in _closed_moves(module) for i in rows
                    if a <= i < c for t in cols if c - d <= t < a - b})
     unlimited, began = Budget(max_modules=None), time.monotonic()
-    cells, start, parts, _, (guard, count) = search._closure(module, unlimited, began)
+    cells, start, parts, _, (guard, count, corners) = search._closure(module, unlimited, began)
     states, stories = search._join(start, parts, unlimited, began)
     width = len(module).bit_length() + 1
+    assert corners == on_c
     assert guard == sum(1 << width * j + width - 1 for j in range(len(on_c)))
     start = _corner_counts(module, _grid(module))
     closure = candidate_outcomes(module)
@@ -740,6 +742,53 @@ def test_one_need_survivors_are_what_the_page_filter_leaves(space):
     assert report.survivor_indices == [c for c in range(len(report.states)) if c not in struck]
 
 
+@pytest.mark.parametrize(
+    "space",
+    [(k, p, q) for p in range(2, 10) for k in range(1, p) for q in range(p + 1)]
+    + [(2, 11, 5), (2, 13, 6), (1, 300, 1)],
+)
+def test_page0_and_the_need_come_from_the_census_fields(monkeypatch, space):
+    # solve takes page 0, the word of least tension, and each corner's
+    # need, its largest count over the words, from the census's fields;
+    # their oracles are the census's first page and the fieldwise maximum
+    # of every page's counts on C.
+    page0s, closures, mosts = [], [], []
+    closure, most = search._closure, schubert._Weigher.most
+
+    def spy_closure(page0, *args):
+        page0s.append(page0)
+        closures.append(closure(page0, *args))
+        return closures[-1]
+
+    monkeypatch.setattr(search, "_closure", spy_closure)
+    monkeypatch.setattr(
+        schubert._Weigher, "most", lambda *args: mosts.append(most(*args)) or mosts[-1]
+    )
+    report = solve(*space)
+    pages = unique_e1_pages(*space)
+    assert page0s == [pages[0]]
+    if not closures:  # the module cap stopped the closure
+        assert report.failure and not mosts
+        return
+    _, count, corners = closures[0][4]
+    width = len(pages[0]).bit_length() + 1
+    counts = [count(page.gens) for page in pages]
+    assert [max(column) for column in zip(*mosts)] == [
+        max(c >> width * j & (1 << width) - 1 for c in counts) for j in range(len(corners))
+    ]
+
+
+@pytest.mark.parametrize(
+    "space", [(2, 6, 3), (3, 6, 3), (3, 7, 2), (4, 8, 2), (2, 11, 5), (1, 12, 6)]
+)
+def test_reports_are_the_same_in_small_blocks(monkeypatch, space):
+    # In blocks of 7 words page 0 is chosen across blocks, and solve weighs
+    # the words again for the need.
+    whole = solve(*space).to_json_bytes()
+    monkeypatch.setattr(schubert, "BLOCK_WORDS", 7)
+    assert solve(*space).to_json_bytes() == whole
+
+
 def test_report_builds_the_log_once_on_access(monkeypatch):
     calls = []
     kept_pages = search._kept_pages
@@ -1006,8 +1055,8 @@ def test_time_budget_covers_the_join_on_the_cli(monkeypatch, capsys, argv, code)
 
 def test_time_budget_covers_the_part_filter(monkeypatch):
     # The clock jumps at the first check after the need's check of every
-    # page: the check before the first part is filtered.
-    pages = len(solve(4, 8, 2).pages)
+    # block of words: the check before the first part is filtered.
+    blocks = -(-math.comb(8, 2) // BLOCK_WORDS)
     now, filters = [0.0], []
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
     check = search._check_clock
@@ -1015,14 +1064,14 @@ def test_time_budget_covers_the_part_filter(monkeypatch):
     def counting(began, budget, phase):
         if phase == "candidate filter":
             filters.append(phase)
-            if len(filters) == pages + 1:
+            if len(filters) == blocks + 1:
                 now[0] += 100.0
         check(began, budget, phase)
 
     monkeypatch.setattr(search, "_check_clock", counting)
     report = solve(4, 8, 2, budget=Budget(max_seconds=1.0))
     assert report.failure == "candidate filter exceeded 1.0 seconds"
-    assert len(filters) == pages + 1 and not report.survivor_states
+    assert len(filters) == blocks + 1 and not report.survivor_states
 
 
 @pytest.mark.parametrize("fmt, code", [("json", EXIT_BUDGET), ("table", cli.EXIT_AMBIGUOUS)])
