@@ -82,6 +82,14 @@ class FreeModule:
         raise AttributeError("FreeModule is immutable")
 
     @classmethod
+    def _known(cls, gens: tuple[tuple[int, int], ...], tension: int) -> "FreeModule":
+        """The module of ``gens``, sorted pairs of ints >= 0, of known tension."""
+        module = object.__new__(cls)
+        object.__setattr__(module, "_gens", gens)
+        object.__setattr__(module, "_tension", tension)
+        return module
+
+    @classmethod
     def from_counts(cls, counts: dict[tuple[int, int], int]) -> "FreeModule":
         gens = []
         for (a, b), k in counts.items():

@@ -22,6 +22,13 @@ pivots counts its free sign columns, M = S[c] * (2^f - 1) fills the fields
 of the words with a sign pivot, and the row weighs (A & ~M) | ((c - r - A)
 & M): a row with a sign pivot weighs its free trivial columns, any other
 row its free sign columns.
+
+Page 0 is the page of least tension, the cells' sum of 2^w.  A block
+where it is cheaper counts it level by level: with U a one at the bottom of every field
+and G one at the top, ((w | G) - v * U) & G marks the words where a cell
+weighs at least v, and a word's tension is its cell count plus the sum
+over v >= 1 of 2^(v-1) times its marks at level v, each level's counts
+widened to fields that hold a tension.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations, compress, islice
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -92,6 +99,15 @@ def _typecode(size: int) -> str:
     return next(t for t in "BHIQ" if size < 1 << 8 * struct.calcsize(">" + t))
 
 
+def _fields(value: int, n: int, size: int) -> Sequence[int]:
+    """The first ``n`` fields of ``size`` bytes of ``value``, field 0 first:
+    a cast memoryview for 1, 2, 4 or 8 bytes, else a list."""
+    raw, step = value.to_bytes(n * size, sys.byteorder), 1 if sys.byteorder == "little" else -1
+    if size in (1, 2, 4, 8):
+        return memoryview(raw).cast(_typecode(1 << 8 * size - 1))[::step]
+    return [int.from_bytes(raw[i:i + size], sys.byteorder) for i in range(0, n * size, size)][::step]
+
+
 class _Made(dict):
     """A dict that makes each missing value from its key, once."""
 
@@ -113,12 +129,15 @@ class _Weigher:
     def __init__(self, cells: list[tuple[int, ...]], p: int, q: int = 0):
         self.cells, self.p, self.q = cells, p, q
         self.dims = [sum(c) - len(c) * (len(c) + 1) // 2 for c in cells]  # free entries
-        top = max(self.dims, default=0)
+        self.top = top = max(self.dims, default=0)
         self.code = _typecode(max(top, len(cells)) << 1)  # and a guard bit
         self.f, self.bits = 8 * struct.calcsize(self.code), top.bit_length()
         self.power = [1 << w for w in range(top + 1)].__getitem__
         self.packed = struct.Struct(f">{len(cells)}{_typecode(top << self.bits | top)}")
         self.shifted = [d << self.bits for d in self.dims]
+        # A tension field holds the largest tension and a weight field's counts.
+        bits = max(sum(map(self.power, self.dims)).bit_length(), self.f)
+        self.wide = next((size for size in (1, 2, 4, 8) if bits <= 8 * size), -(-bits // 8))
 
     def weigh(self, words: Sequence[Sequence[int]]) -> list[int]:
         """Each cell's weights under ``words``, each its sign positions: field w for words[w]."""
@@ -139,10 +158,9 @@ class _Weigher:
             weights.append(weight)
         return weights
 
-    def columns(self, n: int, weights: list[int]) -> list[memoryview]:
+    def columns(self, n: int, weights: list[int]) -> list[Sequence[int]]:
         """The first ``n`` fields of each packed int, field 0 first."""
-        size, step = n * self.f // 8, 1 if sys.byteorder == "little" else -1
-        return [memoryview(w.to_bytes(size, sys.byteorder)).cast(self.code)[::step] for w in weights]
+        return [_fields(w, n, self.f // 8) for w in weights]
 
     def page(self, word: SignWord) -> FreeModule:
         return FreeModule(zip(self.dims, self.weigh([word.positions])))
@@ -157,22 +175,56 @@ class _Weigher:
         """A word's page as its tension and packed bytes, which order pages."""
         return sum(map(self.power, weights)), self.packed.pack(*sorted(map(add, self.shifted, weights)))
 
+    def tensions(self, n: int, weights: list[int]) -> list[int]:
+        """Each of ``n`` words' tension, the cells' sum of 2^w: the cell count
+        plus 2^(v-1) times the count of cells with w >= v, each level v >= 1
+        counted on every field at once and widened to a tension field."""
+        f, wide = self.f, self.wide
+        ones = ((1 << f * n) - 1) // ((1 << f) - 1)
+        guard = ones << f - 1  # (w | guard) - v keeps it where w >= v
+        lifted = [(d, w | guard) for d, w in zip(self.dims, weights)]
+        total = len(self.cells) * (((1 << 8 * wide * n) - 1) // ((1 << 8 * wide) - 1))
+        for v in range(1, self.top + 1):
+            lifted, level = [(d, w) for d, w in lifted if d >= v], v * ones
+            count = sum((w - level) & guard for _, w in lifted) >> f - 1
+            if not count:
+                break
+            narrow, lanes = count.to_bytes(n * f // 8, "little"), bytearray(n * wide)
+            for j in range(f // 8):
+                lanes[j::wide] = narrow[j::f // 8]
+            total += int.from_bytes(lanes, "little") << v - 1
+        return list(_fields(total, n, wide))
+
+    def by_levels(self, n: int) -> bool:
+        """Whether ``tensions`` beats the word-by-word sum on ``n`` words: sum(dims)
+        subtractions of n * f bits and about 2 * LEVEL_BITS more each, against
+        n * len(cells) field reads of about LEVEL_BITS, with tensions in 64 bits."""
+        cost = sum(self.dims) * (self.f * n + 2 * LEVEL_BITS)
+        return self.wide <= 8 and cost <= LEVEL_BITS * n * len(self.cells)
+
     def least(self, tick: Callable[[], None]) -> tuple[FreeModule, Iterable[tuple[int, list[int]]]]:
-        """Page 0, the page of least tension, ties broken on the keys of its
-        words alone, and the blocks once more; ``tick`` follows each block."""
-        best = (math.inf,)
-        for i, block in enumerate(self.blocks()):
-            for ws in zip(*self.columns(*block)):
-                if sum(map(self.power, ws)) <= best[0]:
-                    best = min(best, (*self.key(ws), ws))
+        """Page 0, the page of least tension, ties broken on the keys of each
+        block's least words alone, and the blocks once more; ``tick`` follows
+        each block."""
+        best, mask = (math.inf,), (1 << self.f) - 1
+        for i, (n, weights) in enumerate(self.blocks()):
+            if self.by_levels(n):
+                ts = self.tensions(n, weights)
+            else:
+                ts = [sum(map(self.power, ws)) for ws in zip(*self.columns(n, weights))]
+            for x in compress(range(n), map(min(ts).__eq__, ts)):  # the block's least
+                ws = tuple(w >> self.f * x & mask for w in weights)
+                best = min(best, (*self.key(ws), ws))
             tick()
-        return FreeModule(zip(self.dims, best[2])), [block] if i == 0 else self.blocks()
+        return FreeModule(zip(self.dims, best[2])), [(n, weights)] if i == 0 else self.blocks()
 
     def pages(self) -> list[FreeModule]:
         """The distinct pages by tension, then bytes, sharing generator tuples."""
         keys = sorted({self.key(ws) for block in self.blocks() for ws in zip(*self.columns(*block))})
         gen = _Made(lambda value: divmod(value, 1 << self.bits))
-        return [FreeModule(map(gen.__getitem__, self.packed.unpack(page))) for _, page in keys]
+        # Unpacked bytes are sorted pairs of ints, and the key holds the tension.
+        return [FreeModule._known(tuple(map(gen.__getitem__, self.packed.unpack(page))), tension)
+                for tension, page in keys]
 
     def most(self, n: int, weights: list[int], corners: list[tuple[int, int]]) -> list[int]:
         """Each corner (i, t)'s most cells with d <= i and w >= d - t in one of ``n`` words."""
@@ -217,6 +269,7 @@ def sign_words(p: int, q: int) -> list[SignWord]:
 
 
 BLOCK_WORDS = 2048  # words weighed at once; the default word budget fits in one block
+LEVEL_BITS = 384  # bits of int arithmetic that cost one field read, measured; see by_levels
 
 
 def _census(k: int, p: int, q: int, max_words: int | None = None) -> _Weigher:

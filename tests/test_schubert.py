@@ -118,6 +118,67 @@ def test_least_page_of_any_cells_is_the_first(data):
     assert page0 == min(pages, key=lambda page: (page.tension(), page.gens))
 
 
+def _assert_tensions_match_slow_oracle(weigher, words, n, weights):
+    # Level by level the fields count the cells with w >= v; the sum must
+    # be each word's own page's tension, so a count that spills into the
+    # next field or a level left out fails.
+    slow = [FreeModule(slow_cell_bidegree(c, word) for c in weigher.cells) for word in words]
+    assert weigher.tensions(n, weights) == [page.tension() for page in slow]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_level_tensions_match_slow_oracle(data):
+    p = data.draw(st.integers(2, 11))
+    k = data.draw(st.integers(1, p - 1))
+    cells = data.draw(st.lists(st.sampled_from(enumerate_cells(k, p)), min_size=1, max_size=40,
+                               unique=True))
+    q = data.draw(st.integers(0, p))
+    weigher = schubert._Weigher(cells, p, q)
+    (n, weights), = weigher.blocks()  # C(11, 5) words fit in one block
+    _assert_tensions_match_slow_oracle(weigher, sign_words(p, q), n, weights)
+
+
+@given(_words(257, 4))
+@settings(max_examples=10, deadline=None)
+def test_level_tensions_past_64_bits(words):
+    # Gr_1(R^257) has 16-bit weight fields and tensions up to 2^257 - 1.
+    weigher = schubert._Weigher(enumerate_cells(1, 257), 257)
+    assert weigher.code == "H" and weigher.wide > 8
+    weights = weigher.weigh([word.positions for word in words])
+    _assert_tensions_match_slow_oracle(weigher, words, len(words), weights)
+
+
+def test_level_tensions_in_both_blocks_of_a_census():
+    census, words = schubert._census(2, 14, 7), sign_words(14, 7)
+    blocks = [*census.blocks()]
+    assert [n for n, _ in blocks] == [schubert.BLOCK_WORDS, len(words) - schubert.BLOCK_WORDS]
+    for at, (n, weights) in zip((0, schubert.BLOCK_WORDS), blocks):
+        _assert_tensions_match_slow_oracle(census, words[at:at + n], n, weights)
+
+
+@pytest.mark.parametrize("space, by_levels", [
+    ((2, 13, 6), True), ((2, 11, 5), True), ((4, 8, 3), True), ((3, 6, 3), True),
+    ((1, 64, 2), True), ((1, 66, 2), False), ((2, 30, 2), False), ((1, 30, 1), False),
+    ((1, 300, 1), False)])
+def test_level_count_goes_where_it_was_measured_cheaper(space, by_levels):
+    # Timed side by side, the level count won on the first five spaces and
+    # lost on the last four: Gr_1(R^66) has tensions past 64 bits, (2,30,2)
+    # wide fields times many levels, Gr_1(R^30) a level per word.
+    census = schubert._census(*space)
+    assert [census.by_levels(n) for n, _ in census.blocks()][:1] == [by_levels]
+
+
+@pytest.mark.parametrize("by_levels", [True, False])
+def test_least_breaks_a_tie_on_the_bytes_on_either_path(monkeypatch, by_levels):
+    # Two pages of these cells share the least tension, and the first word
+    # reaching it has the larger one: only the packed bytes pick page 0,
+    # whether the block counts tension by levels or word by word.
+    monkeypatch.setattr(schubert._Weigher, "by_levels", lambda self, n: by_levels)
+    page0, _ = schubert._Weigher([(1, 3), (1, 4), (2, 4)], 4, 3).least(lambda: None)
+    assert page0 == FreeModule([(1, 0), (2, 0), (3, 2)])
+
+
 @pytest.mark.parametrize("space", [(2, 6, 3), (3, 7, 2), (2, 11, 5), (1, 130, 1)])
 def test_census_counts_every_corner(space):
     # The fields give each corner {d <= i, e = d - w <= t} of the grid,
@@ -250,8 +311,11 @@ def test_unique_pages_counts():
 
 def test_unique_pages_sorted_by_tension():
     pages = unique_e1_pages(3, 6, 3)
+    # The census hands each page the tension it sorted by: it must be the
+    # page's own sum, and a page must equal the checked module of its gens.
+    assert pages == [FreeModule(m.gens) for m in pages]
     tensions = [m.tension() for m in pages]
-    assert tensions == sorted(tensions)
+    assert tensions == [sum(1 << b for _, b in m.gens) for m in pages] == sorted(tensions)
     assert tensions[0] == 201
 
 

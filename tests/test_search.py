@@ -789,6 +789,22 @@ def test_reports_are_the_same_in_small_blocks(monkeypatch, space):
     assert solve(*space).to_json_bytes() == whole
 
 
+@pytest.mark.parametrize("space", CRITERION_8_SPACES + [(2, 11, 5), (2, 13, 6), (1, 300, 1), (4, 8, 3)])
+def test_reports_are_the_same_on_either_page0_path(monkeypatch, space):
+    # Every block counts tension by levels, then every block word by word.
+    reports = []
+    for by_levels in (True, False):
+        monkeypatch.setattr(schubert._Weigher, "by_levels", lambda self, n: by_levels)
+        report = solve(*space)
+        reports.append((report.failure, report.to_json_bytes()))
+    assert reports[0] == reports[1]
+    failure = reports[0][0]
+    if space == (4, 8, 3):  # page 0's down-set passes the module cap
+        assert failure.startswith("candidate enumeration exceeded")
+    else:
+        assert failure is None
+
+
 def test_report_builds_the_log_once_on_access(monkeypatch):
     calls = []
     kept_pages = search._kept_pages
