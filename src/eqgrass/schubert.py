@@ -36,8 +36,9 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, combinations, compress, islice
+from itertools import accumulate, combinations, compress, islice, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -149,13 +150,20 @@ class _Weigher:
         sign = [int.from_bytes(m, "little") for m in marks]
         prefix, fill = [*accumulate(sign, initial=0)], [s * full for s in sign]
         ones, weights = ((1 << self.f * len(words)) - 1) // full, []
+        last, run = (), [(0, 0)]  # the last cell, and the weight and signs taken before each row
         for pivots in self.cells:
-            weight = taken = 0
-            for r, c in enumerate(pivots):
+            r = 0  # rows before r are the last cell's, so their sums are kept
+            while r < len(last) and pivots[r] == last[r]:
+                r += 1
+            del run[r + 1:]
+            weight, taken = run[r]
+            for r, c in enumerate(pivots[r:], r):
                 a, m = prefix[c - 1] - taken, fill[c - 1]
                 weight += (a & ~m) | (((c - 1 - r) * ones - a) & m)
                 taken += sign[c - 1]
+                run.append((weight, taken))
             weights.append(weight)
+            last = pivots
         return weights
 
     def columns(self, n: int, weights: list[int]) -> list[Sequence[int]]:
@@ -182,13 +190,17 @@ class _Weigher:
         f, wide = self.f, self.wide
         ones = ((1 << f * n) - 1) // ((1 << f) - 1)
         guard = ones << f - 1  # (w | guard) - v keeps it where w >= v
-        lifted = [(d, w | guard) for d, w in zip(self.dims, weights)]
+        lifted, level = [w | guard for w in weights], 0
         total = len(self.cells) * (((1 << 8 * wide * n) - 1) // ((1 << 8 * wide) - 1))
         for v in range(1, self.top + 1):
-            lifted, level = [(d, w) for d, w in lifted if d >= v], v * ones
-            count = sum((w - level) & guard for _, w in lifted) >> f - 1
+            level, count, kept = level + ones, 0, []
+            for w in lifted:
+                if mark := (w - level) & guard:
+                    count += mark
+                    kept.append(w)  # a cell no word keeps reaches no higher level
             if not count:
                 break
+            lifted, count = kept, count >> f - 1
             narrow, lanes = count.to_bytes(n * f // 8, "little"), bytearray(n * wide)
             for j in range(f // 8):
                 lanes[j::wide] = narrow[j::f // 8]
@@ -227,12 +239,24 @@ class _Weigher:
                 for tension, page in keys]
 
     def most(self, n: int, weights: list[int], corners: list[tuple[int, int]]) -> list[int]:
-        """Each corner (i, t)'s most cells with d <= i and w >= d - t in one of ``n`` words."""
+        """Each corner (i, t)'s most cells with d <= i and w >= d - t in one of ``n``
+        words, for i, t >= 0: every cell with d <= t, and the largest field of
+        the count of the others, found by bisection on the guard bits."""
         ones = ((1 << self.f * n) - 1) // ((1 << self.f) - 1)
-        guard = ones << self.f - 1  # (w | guard) - (d - t) keeps it where w >= d - t
-        counts = [sum((w | guard) - (d - t) * ones & guard for d, w in zip(self.dims, weights)
-                      if d <= i) >> self.f - 1 for i, t in corners]
-        return [*map(max, self.columns(n, counts))]
+        guard = ones << self.f - 1  # (w | guard) - (d - t) * ones keeps it where w >= d - t
+        lanes = [*accumulate(repeat(ones, self.top), initial=0)]  # v * ones
+        lifted = [[] for _ in lanes]  # by dimension
+        for d, w in zip(self.dims, weights):
+            lifted[d].append(w | guard)
+        upto, most = [*accumulate(map(len, lifted))], []  # upto[d]: the cells of dimension <= d
+        for i, t in corners:
+            i, base = min(i, self.top), upto[min(i, t, self.top)]
+            counts = sum((w - lanes[d - t]) & guard for d in range(t + 1, i + 1)
+                         for w in lifted[d]) >> self.f - 1 | guard
+            # The largest count is how many of 1, 2, ..., upto[i] - base some field reaches.
+            most.append(base + bisect_left(range(1, upto[i] - base + 1), True,
+                                           key=lambda v: not counts - v * ones & guard))
+        return most
 
 
 def cell_bidegree(pivots: tuple[int, ...], word: SignWord) -> tuple[int, int]:

@@ -20,9 +20,10 @@ only the JSON reads, are built on first access; the log drops the pages
 that relax to others (``reduce_pages``) and files each struck candidate
 under the first kept page it fails.  Every move strictly lowers tension,
 so the closure is finite; ``oracle.closure_oracle`` is its slow
-reference.  The module cap is checked on a count of page 0's down-set,
-which holds the closure, before the walk.  The time budget runs from the
-start of ``solve`` and covers the join and the log too.
+reference.  The module cap is checked before the walk on page 0's
+down-set, which holds the closure: on a bound from its corner ranges,
+then, only if that passes the cap, on an exact count.  The time budget
+runs from the start of ``solve`` and covers the join and the log too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import json
 import math
 import struct
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, partial
@@ -97,17 +98,20 @@ def _closure(module: FreeModule, budget: Budget, began: float) -> tuple[list, tu
     ``start`` is the packed shares of the components without moves and
     ``count(module.gens)``; a part maps a moving component's states to their
     rises, and ``tops[j]`` holds the guard bits of part j's corners."""
-    # The count comes first, so no cell or state is built past the module
-    # cap.  The cells are closed, so ``moves`` holds every move any state
-    # makes; a move takes one generator from each of two cells and adds one
-    # to each of two, all four in one component.  A component's walk thus
-    # reads and writes only its own cells' counts and keeps their total, so
-    # the closure is exactly the product of the components' closures, and
-    # as rises add along a path a story is the start's count plus its
-    # parts' rises.  A move from (a, e1) to (c, e2), e = a - b, leaves
-    # (a, e2) and (c, e1), so its rise, those two cells' units less its
-    # ends', is one on each corner with a <= i < c and e2 <= t < e1.
-    if budget.max_modules is not None:
+    # The cap comes first, so no cell or state is built past it: the corner
+    # bound settles it when the down-set fits, and only a bound over the cap
+    # leaves it to the exact count.  The cells are closed, so ``moves``
+    # holds every move any state makes; a move takes one generator from
+    # each of two cells and adds one to each of two, all four in one
+    # component.  A component's walk thus reads and writes only its own
+    # cells' counts and keeps their total, so the closure is exactly the
+    # product of the components' closures, and as rises add along a path a
+    # story is the start's count plus its parts' rises.  A move from
+    # (a, e1) to (c, e2), e = a - b, leaves (a, e2) and (c, e1), so its
+    # rise, those two cells' units less its ends', is one on each corner
+    # with a <= i < c and e2 <= t < e1.
+    cap = budget.max_modules
+    if cap is not None and _corner_bound(module, cap) > cap:
         _check_cap(_count_down_set(module, budget, began), budget)
     cells = set(module.gens)
     while True:
@@ -191,6 +195,29 @@ def _join(start: tuple[int, int], parts: Sequence[dict], budget: Budget,
         seen = {s + t: u + v for s, u in seen.items() for t, v in part.items()}
     states = sorted(seen, reverse=True)
     return states, [*map(seen.get, states)]
+
+
+def _corner_bound(page0: FreeModule, cap: int) -> int:
+    """A bound on the size of page0's down-set, or a partial product over
+    ``cap``: the product over page0's corners x = (i, t) of one plus the
+    lesser of its generators with a <= i, e > t and those with a > i, e <= t."""
+    # A down-set table B is fixed by its corner counts, and B_x lies between
+    # page0_x and min(#{a <= i}, #{e <= t}), which less page0_x is the
+    # lesser count above.  Where it is 0, B_x = page0_x; in row i that
+    # leaves the t in [min e over a > i, max e over a <= i), as in ``solve``.
+    es, seen, bound = _margins(page0)[1], [], 1
+    for _, row in groupby(page0.gens, itemgetter(0)):
+        for a, b in row:
+            insort(seen, a - b)
+        # t = es[j - 1] runs down from below the row's largest e while a
+        # later row has e <= t, at count = #{a <= i, e <= t} < j = #{e <= t}.
+        j = bisect_left(es, seen[-1])
+        while j and (count := bisect_right(seen, es[j - 1])) < j:
+            bound *= min(len(seen) - count, j - count) + 1
+            if bound > cap:
+                return bound
+            j = bisect_left(es, es[j - 1])
+    return bound
 
 
 def _count_down_set(page0: FreeModule, budget: Budget, began: float) -> int:
@@ -465,7 +492,7 @@ def solve(k: int, p: int, q: int, budget: Budget = DEFAULT_BUDGET, jobs: int = 1
         # part j's fields B's story is the start's plus part j's rise: B
         # passes when each of its parts covers the need on its own fields.
         most = [0] * len(corners)
-        for n, weights in blocks:
+        for n, weights in blocks if corners else ():
             _check_clock(began, budget, "candidate filter")
             most = [*map(max, most, census.most(n, weights, corners))]
         low = len(page0).bit_length()  # field 0's guard bit, as _closure packs

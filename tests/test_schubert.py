@@ -201,6 +201,76 @@ def test_census_counts_every_corner(space):
         assert census.most(1, census.weigh([word.positions]), grid) == counts(slow)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_weigher_restarts_each_cell_where_it_leaves_the_last(data):
+    # In any order, with repeats, consecutive cells share no leading pivots,
+    # some or all of them: each must still weigh as it does alone.
+    p = data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(0, p))
+    cells = data.draw(st.lists(st.sampled_from(enumerate_cells(k, p)), min_size=1, max_size=30))
+    words = data.draw(_words(p, 12))
+    weigher = schubert._Weigher(cells, p)
+    columns = weigher.columns(len(words), weigher.weigh([word.positions for word in words]))
+    for cell, dim, fields in zip(cells, weigher.dims, columns):
+        assert [(dim, w) for w in fields] == [slow_cell_bidegree(cell, word) for word in words]
+
+
+def _assert_most_matches_slow_oracle(weigher, words, n, weights, corners):
+    # Each corner (i, t)'s most cells with d <= i and e = d - w <= t over
+    # the words, each word's cells weighed a column at a time.
+    slow = [[slow_cell_bidegree(cell, word) for cell in weigher.cells] for word in words]
+    most = [max(sum(d <= i and d - w <= t for d, w in gens) for gens in slow) for i, t in corners]
+    assert weigher.most(n, weights, corners) == most
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_most_matches_slow_oracle(data):
+    # Corners run past the top dimension on both axes, so some have every
+    # cell with d <= i at d <= t, counted without a field test.
+    p = data.draw(st.integers(2, 9))
+    k = data.draw(st.integers(1, p - 1))
+    cells = data.draw(st.lists(st.sampled_from(enumerate_cells(k, p)), min_size=1, max_size=30,
+                               unique=True))
+    q = data.draw(st.integers(0, p))
+    weigher = schubert._Weigher(cells, p, q)
+    (n, weights), = weigher.blocks()
+    grid = st.integers(0, weigher.top + 1)
+    corners = data.draw(st.lists(st.tuples(grid, grid), min_size=1, max_size=20))
+    _assert_most_matches_slow_oracle(weigher, sign_words(p, q), n, weights, corners)
+
+
+@pytest.mark.parametrize("cells, q, corners, most", [
+    # No word has a sign letter, so no cell of dimension 1 to 5 weighs d.
+    ([(2,), (3,), (4,), (5,), (6,)], 0, [(5, 0)], [0]),
+    # (6,) weighs 1 or 5 in every word, and (1,) has d = 0 <= t.
+    ([(1,), (6,)], 1, [(5, 0), (5, 4)], [2, 2]),
+])
+def test_most_at_both_ends_of_its_bisection(cells, q, corners, most):
+    weigher = schubert._Weigher(cells, 6, q)
+    (n, weights), = weigher.blocks()
+    assert weigher.most(n, weights, corners) == most
+    _assert_most_matches_slow_oracle(weigher, sign_words(6, q), n, weights, corners)
+
+
+@given(_words(257, 4), st.lists(st.tuples(st.integers(0, 256), st.integers(0, 256)), min_size=1,
+                                max_size=30))
+@settings(max_examples=10, deadline=None)
+def test_most_on_16_bit_fields(words, corners):
+    weigher = schubert._Weigher(enumerate_cells(1, 257), 257)
+    assert weigher.code == "H"
+    weights = weigher.weigh([word.positions for word in words])
+    _assert_most_matches_slow_oracle(weigher, words, len(words), weights, corners)
+
+
+def test_most_in_both_blocks_of_a_census():
+    census, words = schubert._census(2, 14, 7), sign_words(14, 7)
+    corners = [(i, t) for i in (3, 12, 24) for t in (0, 2, 5, 11, 20)]
+    for at, (n, weights) in zip((0, schubert.BLOCK_WORDS), census.blocks()):
+        _assert_most_matches_slow_oracle(census, words[at:at + n], n, weights, corners)
+
+
 # (2, 13, 6) has 147 groups of pages tied in tension, which the sorted
 # generators order; at k = 0 and k = p the one cell has dimension 0; a
 # cell of Gr_1(R^257) reaches dimension 256, past a byte field; the

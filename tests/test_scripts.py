@@ -52,3 +52,21 @@ def test_bench_records_the_ladder_and_keeps_other_labels(tmp_path):
     assert rows[4, 8, 3]["survivors"] is None
     assert rows[4, 8, 3]["abort"] == "candidate enumeration exceeded 1000000 modules"
     assert all(row["wall_ms"] > 0 and row["peak_mib"] > 0 for row in rows.values())
+
+
+def test_level_crossover_prints_the_rule_pick_per_block():
+    # The last column is _Weigher.by_levels, as
+    # test_level_count_goes_where_it_was_measured_cheaper pins it.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "level_crossover.py"), "3,6,3", "1,30,1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    header, *lines = result.stdout.splitlines()
+    assert header.split()[-1] == "by_levels"
+    assert {line[:11].strip(): line.split()[-1] for line in lines} == {
+        "(3, 6, 3)": "True", "(1, 30, 1)": "False"}

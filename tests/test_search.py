@@ -5,7 +5,7 @@ import time
 import tracemalloc
 from collections import deque
 from functools import cache, reduce
-from itertools import combinations, combinations_with_replacement, count, permutations
+from itertools import chain, combinations, combinations_with_replacement, count, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -470,6 +470,69 @@ def test_count_down_set_matches_oracle_and_caps_exactly(module):
             assert size > cap
         else:
             assert size <= cap
+
+
+def _assert_corner_bound_holds(module, cap):
+    # The bound holds the whole down-set.  Over the cap it may stop at any
+    # partial product over the cap, which the full product passes too.
+    full = search._corner_bound(module, math.inf)
+    assert full >= search._count_down_set(module, Budget(max_modules=None), 0.0), module
+    early = search._corner_bound(module, cap)
+    assert early == full if full <= cap else cap < early <= full
+
+
+@given(hand_modules, st.integers(0, 200))
+@settings(max_examples=500, deadline=None)
+def test_corner_bound_holds_the_down_set(module, cap):
+    _assert_corner_bound_holds(module, cap)
+
+
+def test_corner_bound_holds_the_down_set_in_the_box_and_on_first_pages():
+    spaces = [(k, p, q) for p in range(2, 9) for k in range(1, p) for q in range(p + 1)]
+    for module in chain(_box_modules(), (unique_e1_pages(*space)[0] for space in spaces)):
+        size = search._count_down_set(module, Budget(max_modules=None), 0.0)
+        _assert_corner_bound_holds(module, size)
+
+
+@pytest.mark.parametrize("space, bound, size", [
+    ((3, 7, 2), 144, 144), ((4, 8, 2), 7_776, 7_776), ((2, 11, 5), 432, 432),
+    ((2, 13, 6), 5_184, 5_184), ((3, 6, 3), 72, 24), ((4, 8, 3), 71_663_616, 2_492_832)])
+def test_corner_bound_of_first_pages(space, bound, size):
+    page = unique_e1_pages(*space)[0]
+    assert search._corner_bound(page, math.inf) == bound
+    assert search._count_down_set(page, Budget(max_modules=None), 0.0) == size
+
+
+def test_solve_counts_the_down_set_only_past_the_bound(monkeypatch):
+    # Under the default cap the bounds of (2,13,6) and (4,8,2) settle it, and
+    # (4,8,3)'s passes it, so there the count runs and aborts as criterion 9 pins.
+    real, counted = search._count_down_set, []
+    survivors = {space: solve(*space).survivors for space in [(2, 13, 6), (4, 8, 2)]}
+    monkeypatch.setattr(search, "_count_down_set", _refuse_count)
+    assert {space: solve(*space).survivors for space in survivors} == survivors
+    monkeypatch.setattr(search, "_count_down_set", lambda *args: counted.append(1) or real(*args))
+    assert solve(4, 8, 3).failure == "candidate enumeration exceeded 1000000 modules"
+    assert counted == [1]
+
+
+def _refuse_count(page0, budget, began):
+    raise AssertionError("the down-set counted under a bound within the cap")
+
+
+@pytest.mark.parametrize("space", [(3, 6, 3), (2, 13, 6)])
+def test_a_cap_just_under_the_bound_leaves_the_count_to_decide(monkeypatch, space):
+    # (3,6,3)'s 24 tables fit a cap of 71, and (2,13,6)'s 5,184 do not fit 5,183.
+    page = unique_e1_pages(*space)[0]
+    cap, size = search._corner_bound(page, math.inf) - 1, len(candidate_outcomes(page))
+    survivors = solve(*space).survivors
+    real, counted = search._count_down_set, []
+    monkeypatch.setattr(search, "_count_down_set", lambda *args: counted.append(1) or real(*args))
+    report = solve(*space, budget=Budget(max_modules=cap))
+    assert counted == [1]
+    if size <= cap:
+        assert report.survivors == survivors
+    else:
+        assert report.failure == f"candidate enumeration exceeded {cap} modules"
 
 
 def test_over_cap_solve_builds_no_cells(monkeypatch):
